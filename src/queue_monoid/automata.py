@@ -6,6 +6,12 @@ DOT export and a line-based text format.  On top of it sit the automaton
 accepting one equivalence class of queue-action words (`class_dfa`) and the
 rational-subset membership test (`rational_member`).
 
+Every walk over states (renumbering, reachability, products, subset
+construction, shortest words, the class automaton) goes through one
+breadth-first explorer, `_bfs`, which numbers states in discovery order and
+hands each state's moves to the caller as it arrives.  The constructors
+take time linear in the states and transitions they are given.
+
 Automata are immutable after construction; every operation returns a fresh
 automaton, so instances can be shared freely between threads.
 """
@@ -36,6 +42,32 @@ def _merge(transitions, key, targets):
     transitions[key] = frozenset(targets) if old is None else old | frozenset(targets)
 
 
+def _bfs(starts, moves, ids=None):
+    """Visit every state reachable from `starts` once, breadth first.
+
+    Yields ``(state, moves(state))`` in discovery order, where `moves` gives
+    the state's (symbol, successor) pairs.  `ids` (a fresh dict by default)
+    numbers each state when it is first discovered, which happens before
+    the state that reaches it is yielded, so callers can map successors to
+    ids at once; afterwards it holds every reachable state.
+    """
+    if ids is None:
+        ids = {}
+    queue = deque()
+    for s in starts:
+        if s not in ids:
+            ids[s] = len(ids)
+            queue.append(s)
+    while queue:
+        state = queue.popleft()
+        out = moves(state)
+        for _, t in out:
+            if t not in ids:
+                ids[t] = len(ids)
+                queue.append(t)
+        yield state, out
+
+
 class Nfa:
     """Nondeterministic finite automaton with a fixed symbol tuple.
 
@@ -47,15 +79,16 @@ class Nfa:
 
     def __init__(self, alphabet, states, initial, accepting, transitions):
         self.alphabet = tuple(alphabet)
-        self.states = frozenset(states)
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.transitions = {k: frozenset(v) for k, v in transitions.items() if v}
+        every = set(states) | self.initial | self.accepting
         for (src, sym), dsts in self.transitions.items():
             if sym not in self.alphabet:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            self.states |= {src} | dsts
-        self.states |= self.initial | self.accepting
+            every.add(src)
+            every |= dsts
+        self.states = frozenset(every)
 
     # -- constructors -------------------------------------------------------
 
@@ -113,23 +146,24 @@ class Nfa:
         if self.initial & self.accepting:
             return ""
         parent: dict = {s: None for s in self.initial}
-        queue = deque(sorted(self.initial, key=repr))
-        while queue:
-            s = queue.popleft()
-            for sym in self.alphabet:
-                for t in sorted(self.transitions.get((s, sym), ()), key=repr):
-                    if t in parent:
-                        continue
-                    parent[t] = (s, sym)
-                    if t in self.accepting:
-                        letters = []
-                        cur = t
-                        while parent[cur] is not None:
-                            cur, step = parent[cur]
-                            letters.append(step)
-                        return "".join(reversed(letters))
-                    queue.append(t)
+        for s, moves in _bfs(sorted(self.initial, key=repr), self._moves):
+            for sym, t in moves:
+                if t in parent:
+                    continue
+                parent[t] = (s, sym)
+                if t in self.accepting:
+                    letters = []
+                    cur = t
+                    while parent[cur] is not None:
+                        cur, step = parent[cur]
+                        letters.append(step)
+                    return "".join(reversed(letters))
         return None
+
+    def _moves(self, state) -> list:
+        """(symbol, successor) pairs in alphabet order, successors by repr."""
+        get = self.transitions.get
+        return [(sym, t) for sym in self.alphabet for t in sorted(get((state, sym), ()), key=repr)]
 
     # -- rewiring ------------------------------------------------------------
 
@@ -139,24 +173,14 @@ class Nfa:
         Unreachable states are dropped; the language is unchanged.
         """
         order: dict = {}
-        frontier = sorted(self.initial, key=repr)
-        for s in frontier:
-            order[s] = len(order)
-        queue = deque(frontier)
-        while queue:
-            s = queue.popleft()
-            for sym in self.alphabet:
-                for t in sorted(self.transitions.get((s, sym), ()), key=repr):
-                    if t not in order:
-                        order[t] = len(order)
-                        queue.append(t)
-        trans = {}
-        for (src, sym), dsts in self.transitions.items():
-            if src in order:
-                trans[(order[src], sym)] = frozenset(order[t] for t in dsts if t in order)
+        trans: dict = {}
+        for s, moves in _bfs(sorted(self.initial, key=repr), self._moves, order):
+            src = order[s]
+            for sym, t in moves:
+                trans.setdefault((src, sym), set()).add(order[t])
         return Nfa(
             self.alphabet,
-            set(order.values()),
+            order.values(),
             {order[s] for s in self.initial},
             {order[s] for s in self.accepting if s in order},
             trans,
@@ -179,13 +203,7 @@ class Nfa:
 
     def trim(self) -> "Nfa":
         """Drop states that are unreachable or cannot reach acceptance."""
-        fwd = self._reach(self.initial, self.transitions)
-        back_trans: dict = {}
-        for (src, sym), dsts in self.transitions.items():
-            for d in dsts:
-                _merge(back_trans, (d, sym), {src})
-        bwd = self._reach(self.accepting, back_trans)
-        keep = fwd & bwd
+        keep = self._reachable() & self.reverse()._reachable()
         if not keep:
             return Nfa.empty(self.alphabet)
         trans = {}
@@ -196,20 +214,8 @@ class Nfa:
                     trans[(src, sym)] = live
         return Nfa(self.alphabet, keep, self.initial & keep, self.accepting & keep, trans)
 
-    def _reach(self, seeds, transitions) -> frozenset:
-        seen = set(seeds)
-        queue = deque(seeds)
-        index: dict = {}
-        for (src, sym), dsts in transitions.items():
-            index.setdefault(src, []).append(dsts)
-        while queue:
-            s = queue.popleft()
-            for dsts in index.get(s, ()):
-                for t in dsts:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-        return frozenset(seen)
+    def _reachable(self) -> frozenset:
+        return frozenset(s for s, _ in _bfs(self.initial, self._moves))
 
     # -- boolean operations ---------------------------------------------------
 
@@ -233,24 +239,19 @@ class Nfa:
     def intersect(self, other: "Nfa") -> "Nfa":
         self._check_alphabet(other)
         start = {(p, q) for p in self.initial for q in other.initial}
-        seen = set(start)
-        queue = deque(start)
+        left, right = self.transitions.get, other.transitions.get
+        alphabet = self.alphabet
+
+        def moves(pair):
+            p, q = pair
+            return [(sym, (a, b)) for sym in alphabet
+                    for a in left((p, sym), ()) for b in right((q, sym), ())]
+
+        seen: dict = {}
         trans: dict = {}
-        while queue:
-            p, q = queue.popleft()
-            for sym in self.alphabet:
-                ps = self.transitions.get((p, sym))
-                if not ps:
-                    continue
-                qs = other.transitions.get((q, sym))
-                if not qs:
-                    continue
-                dsts = {(a, b) for a in ps for b in qs}
-                trans[((p, q), sym)] = dsts
-                for pair in dsts:
-                    if pair not in seen:
-                        seen.add(pair)
-                        queue.append(pair)
+        for pair, out in _bfs(start, moves, seen):
+            for sym, t in out:
+                trans.setdefault((pair, sym), set()).add(t)
         accepting = {(p, q) for (p, q) in seen if p in self.accepting and q in other.accepting}
         return Nfa(self.alphabet, seen, start, accepting, trans).relabel()
 
@@ -301,25 +302,21 @@ class Nfa:
         ).relabel()
 
     def determinize(self) -> "Dfa":
-        start = self.initial
-        ids = {start: 0}
-        queue = deque([start])
+        post, alphabet = self._post, self.alphabet
+
+        def moves(subset):
+            return [(sym, nxt) for sym in alphabet if (nxt := post(subset, sym))]
+
+        ids: dict = {}
         trans: dict = {}
         accepting = set()
-        while queue:
-            cur = queue.popleft()
+        for cur, out in _bfs([self.initial], moves, ids):
             i = ids[cur]
             if cur & self.accepting:
                 accepting.add(i)
-            for sym in self.alphabet:
-                nxt = self._post(cur, sym)
-                if not nxt:
-                    continue
-                if nxt not in ids:
-                    ids[nxt] = len(ids)
-                    queue.append(nxt)
+            for sym, nxt in out:
                 trans[(i, sym)] = ids[nxt]
-        return Dfa(self.alphabet, set(ids.values()), 0, accepting, trans)
+        return Dfa(self.alphabet, ids.values(), 0, accepting, trans)
 
     def minimize(self) -> "Nfa":
         """Language-preserving size reduction via the minimal DFA."""
@@ -346,12 +343,13 @@ class Dfa:
 
     def __init__(self, alphabet, states, initial, accepting, transitions):
         self.alphabet = tuple(alphabet)
-        self.states = frozenset(states) | {initial} | frozenset(accepting)
         self.initial = initial
         self.accepting = frozenset(accepting)
         self.transitions = dict(transitions)
-        for (src, sym), dst in self.transitions.items():
-            self.states |= {src, dst}
+        every = set(states) | {initial} | self.accepting
+        every.update(src for src, _ in self.transitions)
+        every.update(self.transitions.values())
+        self.states = frozenset(every)
 
     def step(self, state, sym):
         return self.transitions.get((state, sym))
@@ -421,21 +419,17 @@ class Dfa:
         return out.renumber()
 
     def renumber(self) -> "Dfa":
-        order = {self.initial: 0}
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
-            for sym in self.alphabet:
-                t = self.transitions.get((s, sym))
-                if t is not None and t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        trans = {
-            (order[s], sym): order[t]
-            for (s, sym), t in self.transitions.items()
-            if s in order and t in order
-        }
-        return Dfa(self.alphabet, set(order.values()), 0,
+        get, alphabet = self.transitions.get, self.alphabet
+
+        def moves(s):
+            return [(sym, t) for sym in alphabet if (t := get((s, sym))) is not None]
+
+        order: dict = {}
+        trans: dict = {}
+        for s, out in _bfs([self.initial], moves, order):
+            for sym, t in out:
+                trans[(order[s], sym)] = order[t]
+        return Dfa(self.alphabet, order.values(), 0,
                    {order[s] for s in self.accepting if s in order}, trans)
 
     def to_nfa(self) -> Nfa:
@@ -715,6 +709,12 @@ class ClassAutomaton:
     def is_accepting(self, state) -> bool:
         return self.denote(state) == self.target
 
+    def _moves(self, state) -> list:
+        """(symbol, successor) pairs of the defined steps, in symbol order."""
+        step = self.step
+        return [(sym, nxt) for sym in self.alphabet.symbols
+                if (nxt := step(state, sym)) is not None]
+
     def step(self, state, sym):
         i, j, k, l = state
         if sym.islower():
@@ -737,22 +737,14 @@ class ClassAutomaton:
 def class_dfa(word: str, alphabet: Alphabet) -> Dfa:
     """DFA accepting exactly the words equivalent to `word`."""
     ca = ClassAutomaton(word, alphabet)
-    seen = {ca.initial}
-    queue = deque([ca.initial])
+    seen: dict = {}
     trans: dict = {}
     accepting = set()
-    while queue:
-        state = queue.popleft()
+    for state, moves in _bfs([ca.initial], ca._moves, seen):
         if ca.is_accepting(state):
             accepting.add(state)
-        for sym in alphabet.symbols:
-            nxt = ca.step(state, sym)
-            if nxt is None:
-                continue
+        for sym, nxt in moves:
             trans[(state, sym)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     return Dfa(alphabet.symbols, seen, ca.initial, accepting, trans)
 
 
@@ -766,20 +758,14 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
         if sym.lower() not in alphabet:
             raise ValueError(f"automaton symbol {sym!r} not over alphabet {alphabet.letters!r}")
     ca = ClassAutomaton(word, alphabet)
-    start = {(ca.initial, q) for q in nfa.initial}
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        cstate, q = queue.popleft()
+    get = nfa.transitions.get
+
+    def moves(pair):
+        cstate, q = pair
+        return [(sym, (cnext, qnext)) for sym, cnext in ca._moves(cstate)
+                for qnext in get((q, sym), ())]
+
+    for (cstate, q), _ in _bfs([(ca.initial, q) for q in nfa.initial], moves):
         if q in nfa.accepting and ca.is_accepting(cstate):
             return True
-        for sym in alphabet.symbols:
-            cnext = ca.step(cstate, sym)
-            if cnext is None:
-                continue
-            for qnext in nfa.transitions.get((q, sym), ()):
-                pair = (cnext, qnext)
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
     return False

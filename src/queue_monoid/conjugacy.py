@@ -12,7 +12,6 @@ matching slices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -99,8 +98,9 @@ def g_k_nfa(x: NormalForm, y: NormalForm, k: int, alphabet: Alphabet) -> Nfa:
 
     A normal form reads(z1) pairs(z2) writes(z3) qualifies exactly when some
     letter word u with k <= |u| <= |write-proj(x)| is a suffix of x2 z1 while
-    u z2 is a prefix of x2 x3 z2; the union below enumerates the finitely
-    many u and encodes both conditions as regular constraints on z1 and z2.
+    u z2 is a prefix of x2 x3 z2.  The second condition makes u the prefix
+    of x2 x3 of its length, so the union below runs over the lengths of u
+    and encodes both conditions as regular constraints on z1 and z2.
     """
     letters = tuple(alphabet.letters)
     syms = alphabet.symbols
@@ -108,24 +108,21 @@ def g_k_nfa(x: NormalForm, y: NormalForm, k: int, alphabet: Alphabet) -> Nfa:
     x23 = x.write_projection
     union: Optional[Nfa] = None
     for m in range(k, len(x23) + 1):
-        for tup in itertools.product(letters, repeat=m):
-            u = "".join(tup)
-            if u == x23:
-                part_z2 = Nfa.universal(letters)
-            elif x23.startswith(u):
-                part_z2 = _cycle_prefixes(x23[len(u):], alphabet)
-            else:
-                continue
-            tails = {u[j:] for j in range(1, len(u) + 1) if x2.endswith(u[:j])}
-            part_z1 = Nfa.universal(letters).concat(Nfa.word(u, letters))
-            if tails:
-                part_z1 = part_z1.union(Nfa.finite(tails, letters))
-            term = (
-                part_z1.map_symbols(str.upper, syms)
-                .concat(shuffle_image(part_z2, alphabet))
-                .concat(write_star(alphabet))
-            )
-            union = term if union is None else union.union(term)
+        u = x23[:m]
+        if m == len(x23):
+            part_z2 = Nfa.universal(letters)
+        else:
+            part_z2 = _cycle_prefixes(x23[m:], alphabet)
+        tails = {u[j:] for j in range(1, len(u) + 1) if x2.endswith(u[:j])}
+        part_z1 = Nfa.universal(letters).concat(Nfa.word(u, letters))
+        if tails:
+            part_z1 = part_z1.union(Nfa.finite(tails, letters))
+        term = (
+            part_z1.map_symbols(str.upper, syms)
+            .concat(shuffle_image(part_z2, alphabet))
+            .concat(write_star(alphabet))
+        )
+        union = term if union is None else union.union(term)
     if union is None:
         return Nfa.empty(syms)
     shaped = union.intersect(normal_form_dfa(alphabet).to_nfa()).minimize()

@@ -87,7 +87,8 @@ class Alphabet:
         return len(self.letters)
 
     def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
+        """Is `letter` a single letter of the alphabet?"""
+        return len(letter) == 1 and letter in self.letters
 
     @property
     def symbols(self) -> tuple[str, ...]:

@@ -37,11 +37,17 @@ __all__ = [
 ]
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k}")
+
+
 def k_shuffled(word: str, k: int) -> bool:
     """Does the i-th write precede the i-th of the last k reads, for i <= k?
 
     Requires at least k writes and k reads; k = 0 always holds.
     """
+    _check_k(k)
     if k == 0:
         return True
     writes = [pos for pos, sym in enumerate(word) if sym.islower()]
@@ -60,6 +66,7 @@ def in_omega(q: NormalForm, k: int) -> bool:
     write projection; q is in Omega_k when no such alternative length lies
     strictly between ow(q) and k+1.
     """
+    _check_k(k)
     writes, reads = q.write_projection, q.read_projection
     limit = min(len(writes), len(reads), k)
     for length in range(q.overlap_width() + 1, limit + 1):
@@ -97,6 +104,7 @@ def shuffled_nfa(level: int, alphabet: Alphabet) -> Nfa:
     Intersection over i = 1..level of: exactly i-1 writes, then a write,
     then anything, then a read, then exactly level-i reads.
     """
+    _check_k(level)
     syms = alphabet.symbols
     if level == 0:
         return Nfa.universal(syms)
@@ -120,6 +128,7 @@ def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
     a prefix of the write projection and a suffix of the read projection,
     or the word is |u|-shuffled.
     """
+    _check_k(k)
     syms = alphabet.symbols
     letters = tuple(alphabet.letters)
     letters_universal = Nfa.universal(letters)

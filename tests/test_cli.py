@@ -139,6 +139,94 @@ def test_usage_errors(capsys):
     assert code == 2 and err
 
 
+def test_negative_k_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "kshuffled", "--", "-1", "aA")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    code, out, err = run(capsys, "omega", "--", "-3", "aA")
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+# Exact output of the automaton commands; states are numbered breadth first
+# in a hash-independent order, so these bytes never vary between runs.
+GOLDEN = {
+    ("classdfa", "aB"): (
+        "alphabet: ab\n"
+        "state 0 initial\n"
+        "state 1\n"
+        "state 2\n"
+        "state 3 accepting\n"
+        "trans 0 B 2\n"
+        "trans 0 a 1\n"
+        "trans 1 B 3\n"
+        "trans 2 a 3\n"
+    ),
+    ("classdfa", "aB", "--dot"): (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        '  __start0 [shape=point, label=""];\n'
+        '  "(0,0,0,0)" [shape=circle];\n'
+        '  "(0,0,0,1)" [shape=circle];\n'
+        '  "(2,2,0,0)" [shape=circle];\n'
+        '  "(2,2,0,1)" [shape=doublecircle];\n'
+        '  __start0 -> "(0,0,0,0)";\n'
+        '  "(0,0,0,0)" -> "(0,0,0,1)" [label="a"];\n'
+        '  "(0,0,0,0)" -> "(2,2,0,0)" [label="B"];\n'
+        '  "(0,0,0,1)" -> "(2,2,0,1)" [label="B"];\n'
+        '  "(2,2,0,0)" -> "(2,2,0,1)" [label="a"];\n'
+        "}\n"
+    ),
+    ("conjset", "Aa", "aA"): (
+        "alphabet: ab\n"
+        "state 0 initial\n"
+        "state 1 accepting\n"
+        "state 2 accepting\n"
+        "state 3 accepting\n"
+        "state 4 accepting\n"
+        "trans 0 A 1\n"
+        "trans 1 A 1\n"
+        "trans 1 a 2\n"
+        "trans 2 A 4\n"
+        "trans 2 a 3\n"
+        "trans 3 a 3\n"
+        "trans 4 a 2\n"
+    ),
+    ("simple", "omega(1)", "--compile"): (
+        "alphabet: ab\n"
+        "state 0 initial accepting\n"
+        "state 1 accepting\n"
+        "state 2 accepting\n"
+        "state 3 accepting\n"
+        "state 4\n"
+        "trans 0 A 2\n"
+        "trans 0 B 3\n"
+        "trans 0 a 1\n"
+        "trans 0 b 1\n"
+        "trans 1 A 1\n"
+        "trans 1 B 1\n"
+        "trans 1 a 1\n"
+        "trans 1 b 1\n"
+        "trans 2 A 2\n"
+        "trans 2 B 3\n"
+        "trans 2 a 4\n"
+        "trans 2 b 1\n"
+        "trans 3 A 2\n"
+        "trans 3 B 3\n"
+        "trans 3 a 1\n"
+        "trans 3 b 4\n"
+        "trans 4 A 1\n"
+        "trans 4 B 1\n"
+        "trans 4 a 4\n"
+        "trans 4 b 4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_automaton_output(capsys, argv):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == GOLDEN[argv]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -365,3 +365,12 @@ def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet("aB")
     assert Alphabet("ba").symbols == ("b", "a", "B", "A")
+
+
+def test_alphabet_membership_is_single_letters():
+    abc = Alphabet("abc")
+    assert "a" in abc and "c" in abc
+    assert "d" not in abc
+    assert "A" not in abc
+    assert "ab" not in abc
+    assert "" not in Alphabet("ab")

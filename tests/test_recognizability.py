@@ -32,6 +32,17 @@ from helpers import AB, letter_words_upto, normal_forms_upto, words_upto
 # shuffledness
 
 
+def test_negative_k_is_rejected():
+    with pytest.raises(ValueError):
+        k_shuffled("aA", -1)
+    with pytest.raises(ValueError):
+        in_omega(rewrite_normalize("aA"), -3)
+    with pytest.raises(ValueError):
+        omega_nfa(-2, AB)
+    with pytest.raises(ValueError):
+        shuffled_nfa(-1, AB)
+
+
 def test_k_shuffled_examples():
     assert k_shuffled("aA", 1) and not k_shuffled("Aa", 1)
     for w in words_upto(3):
