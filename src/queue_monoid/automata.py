@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from .core import Alphabet, NormalForm, overlap, rewrite_normalize
+from .core import Alphabet, NormalForm, eval_word, overlap
 
 __all__ = [
     "Nfa",
@@ -256,7 +256,7 @@ class Nfa:
         return Nfa(self.alphabet, seen, start, accepting, trans).relabel()
 
     def complement(self) -> "Nfa":
-        return self.determinize().complete().complement().to_nfa()
+        return self.determinize().complement().to_nfa()
 
     def difference(self, other: "Nfa") -> "Nfa":
         self._check_alphabet(other)
@@ -403,20 +403,12 @@ class Dfa:
                 accepting.add(b)
             for sym in full.alphabet:
                 trans[(b, sym)] = block[full.transitions[(s, sym)]]
-        merged = Dfa(full.alphabet, set(block.values()), block[full.initial], accepting, trans)
-        return merged._trim()
-
-    def _trim(self) -> "Dfa":
-        nfa = self.to_nfa().trim()
-        if not nfa.initial:
-            return Dfa(self.alphabet, {0}, 0, set(), {})
-        trans = {}
-        for (src, sym), dsts in nfa.transitions.items():
-            (dst,) = dsts
-            trans[(src, sym)] = dst
-        (init,) = nfa.initial
-        out = Dfa(self.alphabet, nfa.states, init, nfa.accepting, trans)
-        return out.renumber()
+        blocks = set(block.values())
+        # the block of the empty language is the one that rejects and only loops
+        dead = {b for b in blocks if b not in accepting
+                and all(trans[(b, sym)] == b for sym in full.alphabet)}
+        live = {key: t for key, t in trans.items() if t not in dead}
+        return Dfa(full.alphabet, blocks, block[full.initial], accepting, live).renumber()
 
     def renumber(self) -> "Dfa":
         get, alphabet = self.transitions.get, self.alphabet
@@ -686,7 +678,7 @@ class ClassAutomaton:
         self.pibar_pref = pibar
         self.next_read = self._next_table(self.read_positions, n)
         self.next_write = self._next_table(self.write_positions, n)
-        self.target = rewrite_normalize(word)
+        self.target = eval_word(word)
         self.initial = (0, 0, 0, 0)
 
     @staticmethod

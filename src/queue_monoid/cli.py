@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     Alphabet,
     BOT_TOKEN,
-    EMPTY_TOKEN,
     act,
     embed_q2,
     equiv_oracle,
@@ -36,35 +33,11 @@ from .recognizability import (
     parse_simple_expr,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    alphabet: Alphabet
-    output: str = "text"  # or "dot"
-    max_queue_len: Optional[int] = None
-
-
-def _config(args) -> CliConfig:
-    return CliConfig(
-        alphabet=Alphabet(args.alphabet),
-        output="dot" if getattr(args, "dot", False) else "text",
-        max_queue_len=getattr(args, "max_queue", None),
-    )
-
-
-def _parse_queue(text: str, alphabet: Alphabet) -> str:
-    if text == "" or (text == EMPTY_TOKEN and EMPTY_TOKEN not in alphabet):
-        return ""
-    for letter in text:
-        if letter not in alphabet:
-            raise ValueError(f"queue letter {letter!r} not in alphabet {alphabet.letters!r}")
-    return text
-
-
-def _emit_automaton(nfa_or_dfa, cfg: CliConfig) -> None:
-    if cfg.output == "dot":
+def _emit_automaton(nfa_or_dfa, dot: bool) -> None:
+    if dot:
         print(nfa_or_dfa.to_dot())
     else:
         nfa = nfa_or_dfa if isinstance(nfa_or_dfa, Nfa) else nfa_or_dfa.to_nfa()
@@ -72,35 +45,36 @@ def _emit_automaton(nfa_or_dfa, cfg: CliConfig) -> None:
 
 
 def _cmd_nf(args) -> int:
-    cfg = _config(args)
-    w = parse_word(args.word, cfg.alphabet)
+    w = parse_word(args.word, Alphabet(args.alphabet))
     print(format_word(rewrite_normalize(w).word()))
     return 0
 
 
 def _cmd_act(args) -> int:
-    cfg = _config(args)
-    q = _parse_queue(args.queue, cfg.alphabet)
-    w = parse_word(args.word, cfg.alphabet)
+    alphabet = Alphabet(args.alphabet)
+    q = parse_word(args.queue, alphabet)
+    if q != q.lower():
+        raise ValueError(f"queue {args.queue!r} must hold letters, not reads")
+    w = parse_word(args.word, alphabet)
     result = act(q, w)
     print(BOT_TOKEN if result is None else format_word(result))
     return 0
 
 
 def _cmd_mul(args) -> int:
-    cfg = _config(args)
-    x = rewrite_normalize(parse_word(args.left, cfg.alphabet))
-    y = rewrite_normalize(parse_word(args.right, cfg.alphabet))
+    alphabet = Alphabet(args.alphabet)
+    x = rewrite_normalize(parse_word(args.left, alphabet))
+    y = rewrite_normalize(parse_word(args.right, alphabet))
     print(format_word(mul(x, y).word()))
     return 0
 
 
 def _cmd_eq(args) -> int:
-    cfg = _config(args)
-    u = parse_word(args.left, cfg.alphabet)
-    v = parse_word(args.right, cfg.alphabet)
+    alphabet = Alphabet(args.alphabet)
+    u = parse_word(args.left, alphabet)
+    v = parse_word(args.right, alphabet)
     if args.oracle:
-        same = equiv_oracle(u, v, cfg.alphabet, cfg.max_queue_len)
+        same = equiv_oracle(u, v, alphabet, args.max_queue)
     else:
         same = rewrite_normalize(u) == rewrite_normalize(v)
     print("equivalent" if same else "inequivalent")
@@ -108,19 +82,19 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_conj(args) -> int:
-    cfg = _config(args)
-    p = rewrite_normalize(parse_word(args.left, cfg.alphabet))
-    q = rewrite_normalize(parse_word(args.right, cfg.alphabet))
+    alphabet = Alphabet(args.alphabet)
+    p = rewrite_normalize(parse_word(args.left, alphabet))
+    q = rewrite_normalize(parse_word(args.right, alphabet))
     answer = conjugate(p, q)
     print("conjugate" if answer else "not-conjugate")
     return 0 if answer else 1
 
 
 def _cmd_conjwitness(args) -> int:
-    cfg = _config(args)
-    p = rewrite_normalize(parse_word(args.left, cfg.alphabet))
-    q = rewrite_normalize(parse_word(args.right, cfg.alphabet))
-    z = find_conjugator(p, q, cfg.alphabet)
+    alphabet = Alphabet(args.alphabet)
+    p = rewrite_normalize(parse_word(args.left, alphabet))
+    q = rewrite_normalize(parse_word(args.right, alphabet))
+    z = find_conjugator(p, q, alphabet)
     if z is None:
         print("NONE")
         return 1
@@ -129,65 +103,66 @@ def _cmd_conjwitness(args) -> int:
 
 
 def _cmd_conjset(args) -> int:
-    cfg = _config(args)
-    p = rewrite_normalize(parse_word(args.left, cfg.alphabet))
-    q = rewrite_normalize(parse_word(args.right, cfg.alphabet))
-    _emit_automaton(conjugator_nfa(p, q, cfg.alphabet).nfa, cfg)
+    alphabet = Alphabet(args.alphabet)
+    p = rewrite_normalize(parse_word(args.left, alphabet))
+    q = rewrite_normalize(parse_word(args.right, alphabet))
+    _emit_automaton(conjugator_nfa(p, q, alphabet).nfa, args.dot)
     return 0
 
 
 def _cmd_classdfa(args) -> int:
-    cfg = _config(args)
-    w = parse_word(args.word, cfg.alphabet)
-    _emit_automaton(class_dfa(w, cfg.alphabet), cfg)
+    alphabet = Alphabet(args.alphabet)
+    w = parse_word(args.word, alphabet)
+    _emit_automaton(class_dfa(w, alphabet), args.dot)
     return 0
 
 
 def _cmd_member(args) -> int:
-    cfg = _config(args)
-    w = parse_word(args.word, cfg.alphabet)
+    alphabet = Alphabet(args.alphabet)
+    w = parse_word(args.word, alphabet)
     with open(args.nfa, encoding="utf-8") as handle:
         nfa = Nfa.from_text(handle.read())
-    answer = rational_member(w, nfa, cfg.alphabet)
+    answer = rational_member(w, nfa, alphabet)
     print("yes" if answer else "no")
     return 0 if answer else 1
 
 
 def _cmd_omega(args) -> int:
-    cfg = _config(args)
-    q = rewrite_normalize(parse_word(args.word, cfg.alphabet))
+    q = rewrite_normalize(parse_word(args.word, Alphabet(args.alphabet)))
     answer = in_omega(q, args.k)
     print("in" if answer else "out")
     return 0 if answer else 1
 
 
 def _cmd_kshuffled(args) -> int:
-    cfg = _config(args)
-    w = parse_word(args.word, cfg.alphabet)
+    w = parse_word(args.word, Alphabet(args.alphabet))
     answer = k_shuffled(w, args.k)
     print("yes" if answer else "no")
     return 0 if answer else 1
 
 
 def _cmd_embed2(args) -> int:
-    cfg = _config(args)
-    w = parse_word(args.word, cfg.alphabet)
-    print(format_word(embed_q2(w, cfg.alphabet)))
+    alphabet = Alphabet(args.alphabet)
+    w = parse_word(args.word, alphabet)
+    print(format_word(embed_q2(w, alphabet)))
     return 0
 
 
 def _cmd_simple(args) -> int:
-    cfg = _config(args)
-    expr = parse_simple_expr(args.expr, cfg.alphabet)
-    if args.compile:
-        if args.word is not None:
-            raise ValueError("--compile does not take a word argument")
-        _emit_automaton(compile_simple(expr, cfg.alphabet), cfg)
-        return 0
-    if args.word is None:
-        raise ValueError("evaluation needs a word argument (or pass --compile)")
-    q = rewrite_normalize(parse_word(args.word, cfg.alphabet))
-    answer = eval_simple(expr, q)
+    alphabet = Alphabet(args.alphabet)
+    try:
+        expr = parse_simple_expr(args.expr, alphabet)
+        if args.compile:
+            if args.word is not None:
+                raise ValueError("--compile does not take a word argument")
+            _emit_automaton(compile_simple(expr, alphabet), args.dot)
+            return 0
+        if args.word is None:
+            raise ValueError("evaluation needs a word argument (or pass --compile)")
+        q = rewrite_normalize(parse_word(args.word, alphabet))
+        answer = eval_simple(expr, q)
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     print("in" if answer else "out")
     return 0 if answer else 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Alphabet, NormalForm, dual_nf, mul, rewrite_normalize
+from .core import Alphabet, NormalForm, dual_nf, eval_word, mul
 from .automata import (
     Nfa,
     dual_automaton,
@@ -139,7 +139,7 @@ class ConjugatorAutomaton:
 
     def contains(self, z: Union[NormalForm, str]) -> bool:
         """Is the action (given as normal form or any word) a conjugator?"""
-        w = z.word() if isinstance(z, NormalForm) else rewrite_normalize(z).word()
+        w = z.word() if isinstance(z, NormalForm) else eval_word(z).word()
         return self.nfa.accepts(w)
 
 

@@ -11,9 +11,10 @@ Two words are equivalent when they transform every queue identically.  Each
 equivalence class has a unique normal form: a block of reads, then a block
 of write/read pairs of equal letters (the "overlap"), then a block of
 writes.  ``rewrite_normalize`` computes it by a confluent, terminating
-rewriting system; ``mul`` composes two normal forms directly in closed
-form, and ``equiv_oracle`` decides equivalence semantically by running both
-words on finitely many queues.
+rewriting system; it is the reference engine that the fast paths are
+checked against.  ``mul`` composes two normal forms directly in closed
+form, ``eval_word`` folds it over a word, and ``equiv_oracle`` decides
+equivalence semantically by running both words on finitely many queues.
 
 Everything in this module is a pure function over immutable values, so it
 is safe to use from several threads at once.
@@ -169,6 +170,15 @@ def act_profile(word: str, n: int) -> Optional[tuple[str, str]]:
     return "".join(need), "".join(pending)
 
 
+def _queue_bound(u: str, v: str, max_queue_len: Optional[int]) -> int:
+    """Longest queue the equivalence checks try: |u|+|v| unless capped."""
+    if max_queue_len is None:
+        return len(u) + len(v)
+    if max_queue_len < 0:
+        raise ValueError(f"max_queue_len must be nonnegative, got {max_queue_len}")
+    return max_queue_len
+
+
 def profile_equivalent(u: str, v: str, max_queue_len: Optional[int] = None) -> bool:
     """Equivalence on all queues of length <= bound, via act_profile.
 
@@ -176,7 +186,7 @@ def profile_equivalent(u: str, v: str, max_queue_len: Optional[int] = None) -> b
     on a concrete queue, given at least two letters), but computed without
     enumerating queues.
     """
-    bound = len(u) + len(v) if max_queue_len is None else max_queue_len
+    bound = _queue_bound(u, v, max_queue_len)
     return all(act_profile(u, n) == act_profile(v, n) for n in range(bound + 1))
 
 
@@ -186,8 +196,7 @@ def equiv_oracle(u: str, v: str, alphabet: Alphabet, max_queue_len: Optional[int
     Plain enumeration; the bound suffices because inequivalent words are
     already told apart by some queue not longer than either word plus one.
     """
-    bound = len(u) + len(v) if max_queue_len is None else max_queue_len
-    for n in range(bound + 1):
+    for n in range(_queue_bound(u, v, max_queue_len) + 1):
         for cells in itertools.product(alphabet.letters, repeat=n):
             q = "".join(cells)
             if act(q, u) != act(q, v):
@@ -213,20 +222,10 @@ RULE_READ_FRONT = 3
 def redexes(word: str) -> list[tuple[int, int]]:
     """All (position, rule) pairs where a rewrite rule applies."""
     found = []
-    n = len(word)
-    for i in range(n - 1):
-        a = word[i]
-        if not a.islower():
-            continue
-        nxt = word[i + 1]
-        if nxt.isupper():
-            if nxt.lower() != a:
-                found.append((i, RULE_COMMUTE))
-            elif i + 2 < n and word[i + 2].isupper():
-                found.append((i, RULE_READ_FRONT))
-        else:
-            if i + 2 < n and word[i + 2] == nxt.upper():
-                found.append((i, RULE_PAIR_SLIDE))
+    start = 0
+    while (hit := _leftmost_redex(word, start)) is not None:
+        found.append(hit)
+        start = hit[0] + 1
     return found
 
 
@@ -240,6 +239,7 @@ def apply_redex(word: str, pos: int, rule: int) -> str:
 
 
 def _leftmost_redex(word: str, start: int) -> Optional[tuple[int, int]]:
+    """Leftmost (position, rule) at or after `start`: the only matcher of the rules."""
     n = len(word)
     for i in range(start, n - 1):
         a = word[i]
@@ -256,31 +256,21 @@ def _leftmost_redex(word: str, start: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _rewrite_word(word: str) -> str:
-    """Reduce to the unique irreducible word (leftmost redex each step)."""
+def _reductions(word: str) -> Iterator[str]:
+    """The leftmost reduction sequence from `word` to its irreducible word."""
+    yield word
     start = 0
-    while True:
-        hit = _leftmost_redex(word, start)
-        if hit is None:
-            return word
+    while (hit := _leftmost_redex(word, start)) is not None:
         pos, rule = hit
         word = apply_redex(word, pos, rule)
         # a new redex can only appear within two symbols left of the change
         start = max(0, pos - 2)
+        yield word
 
 
 def rewrite_trace(word: str) -> list[str]:
     """The full leftmost reduction sequence, starting at `word`."""
-    trace = [word]
-    start = 0
-    while True:
-        hit = _leftmost_redex(word, start)
-        if hit is None:
-            return trace
-        pos, rule = hit
-        word = apply_redex(word, pos, rule)
-        trace.append(word)
-        start = max(0, pos - 2)
+    return list(_reductions(word))
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,7 @@ IDENTITY = NormalForm()
 
 def rewrite_normalize(word: str) -> NormalForm:
     """Normal form of a word, computed by exhaustive rewriting."""
-    return NormalForm.from_word(_rewrite_word(word))
+    return NormalForm.from_word(deque(_reductions(word), maxlen=1).pop())
 
 
 def proj(value) -> tuple[str, str]:
@@ -362,7 +352,7 @@ def ow(value) -> int:
     """Overlap width: length of the pair block of the normal form."""
     if isinstance(value, NormalForm):
         return value.overlap_width()
-    return rewrite_normalize(value).overlap_width()
+    return eval_word(value).overlap_width()
 
 
 def dual(word: str) -> str:

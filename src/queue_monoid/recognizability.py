@@ -133,10 +133,8 @@ def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
     letters = tuple(alphabet.letters)
     letters_universal = Nfa.universal(letters)
     out = Nfa.universal(syms)
-    shuffled_cache: dict[int, Nfa] = {}
     for m in range(1, k + 1):
-        if m not in shuffled_cache:
-            shuffled_cache[m] = shuffled_nfa(m, alphabet)
+        shuffled = shuffled_nfa(m, alphabet)
         for tup in itertools.product(letters, repeat=m):
             u = "".join(tup)
             starts_u = Nfa.word(u, letters).concat(letters_universal)
@@ -144,7 +142,7 @@ def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
             both = inverse_projection(starts_u, alphabet, "writes").intersect(
                 inverse_projection(ends_u, alphabet, "reads")
             )
-            term = both.complement().union(shuffled_cache[m]).minimize()
+            term = both.complement().union(shuffled).minimize()
             out = out.intersect(term).minimize()
     return out
 

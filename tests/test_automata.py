@@ -110,6 +110,31 @@ def test_minimize_is_minimal_on_known_language():
     assert len(d.states) == 2
 
 
+def test_minimize_keeps_the_language_and_only_useful_states():
+    rng = random.Random(33)
+    for _ in range(40):
+        m = random_nfa(rng)
+        d = m.determinize().minimize()
+        assert nfa_language(d, 4) == nfa_language(m, 4)
+        useful = set(d.accepting)  # states that reach acceptance
+        grew = True
+        while grew:
+            grew = False
+            for (src, _), dst in d.transitions.items():
+                if dst in useful and src not in useful:
+                    useful.add(src)
+                    grew = True
+        assert useful == (d.states if d.accepting else set())
+        again = d.minimize()
+        assert (again.states, again.initial, again.accepting, again.transitions) == (
+            d.states, d.initial, d.accepting, d.transitions)
+
+
+def test_minimize_of_the_empty_language_is_one_state():
+    d = Nfa.empty(SIGMA).determinize().minimize()
+    assert (d.states, d.initial, d.accepting, d.transitions) == ({0}, 0, set(), {})
+
+
 def test_dfa_complete_and_complement():
     d = Nfa.word("aB", SIGMA).determinize()
     full = d.complete()

@@ -146,6 +146,28 @@ def test_negative_k_is_a_usage_error(capsys):
     assert (code, out) == (2, "") and err.startswith("error:")
 
 
+def test_negative_max_queue_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eq", "--oracle", "--max-queue", "-1", "a", "b")
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_queue_with_a_read_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "act", "aB", "a")
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    deep = 3000
+    for argv in (
+        ["simple", "!" * deep + "omega(1)", "aA"],
+        ["simple", "|".join(["omega(1)"] * deep), "aA"],
+        ["simple", "pi(" + "(" * deep + "a" + ")" * deep + ")", "aA"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[1][:20]
+        assert err == "error: expression nested too deeply", argv[1][:20]
+
+
 # Exact output of the automaton commands; states are numbered breadth first
 # in a hash-independent order, so these bytes never vary between runs.
 GOLDEN = {

@@ -28,6 +28,7 @@ from queue_monoid import (
     rewrite_trace,
     shuffle,
 )
+from queue_monoid.core import RULE_COMMUTE, RULE_PAIR_SLIDE, RULE_READ_FRONT
 
 from helpers import AB, ABC, letter_words_upto, normal_forms_upto, words_upto
 
@@ -277,6 +278,30 @@ def test_shuffle_examples():
                 assert rewrite_normalize(shuffle(v, w)) == rewrite_normalize(v + w.upper())
 
 
+def rule_occurrences(w, letters="ab"):
+    """Every (position, rule) where a rule's left-hand side occurs in `w`."""
+    patterns = {}
+    for a in letters:
+        for b in letters:
+            if a != b:
+                patterns[a + b.upper()] = RULE_COMMUTE
+            patterns[a + b + b.upper()] = RULE_PAIR_SLIDE
+            patterns[a + a.upper() + b.upper()] = RULE_READ_FRONT
+    return sorted((i, rule) for pat, rule in patterns.items()
+                  for i in range(len(w)) if w.startswith(pat, i))
+
+
+def test_redexes_trace_and_normal_form_follow_the_rules():
+    for w in words_upto(6):
+        assert redexes(w) == rule_occurrences(w), w
+        trace = rewrite_trace(w)
+        assert trace[0] == w
+        assert trace[-1] == rewrite_normalize(w).word()
+        for before, after in zip(trace, trace[1:]):
+            assert after == apply_redex(before, *redexes(before)[0]), (w, before)
+        assert not redexes(trace[-1])
+
+
 # ---------------------------------------------------------------------------
 # the semantic oracle
 
@@ -286,6 +311,15 @@ def test_equiv_oracle_examples():
     assert not equiv_oracle("aA", "Aa", AB)
     for w in words_upto(3):
         assert equiv_oracle(w, w, AB)
+
+
+def test_negative_queue_bound_is_rejected():
+    with pytest.raises(ValueError):
+        equiv_oracle("a", "b", AB, max_queue_len=-1)
+    with pytest.raises(ValueError):
+        profile_equivalent("a", "b", max_queue_len=-1)
+    assert not equiv_oracle("a", "b", AB, max_queue_len=0)
+    assert not profile_equivalent("a", "b", max_queue_len=0)
 
 
 def test_profile_equivalence_matches_oracle():
