@@ -10,6 +10,7 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import (
@@ -17,10 +18,10 @@ from .core import (
     BOT_TOKEN,
     act,
     embed_q2,
-    equiv_oracle,
     format_word,
     mul,
     parse_word,
+    profile_equivalent,
     rewrite_normalize,
 )
 from .automata import Nfa, class_dfa, rational_member
@@ -74,7 +75,7 @@ def _cmd_eq(args) -> int:
     u = parse_word(args.left, alphabet)
     v = parse_word(args.right, alphabet)
     if args.oracle:
-        same = equiv_oracle(u, v, alphabet, args.max_queue)
+        same = profile_equivalent(u, v, args.max_queue)
     else:
         same = rewrite_normalize(u) == rewrite_normalize(v)
     print("equivalent" if same else "inequivalent")
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", parents=[common], help="decide equivalence of two words")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--oracle", action="store_true", help="decide by running on queues")
+    p.add_argument("--oracle", action="store_true", help="decide by the action on queues (queue profiles)")
     p.add_argument("--max-queue", type=int, default=None, help="queue length cap for --oracle")
     p.set_defaults(func=_cmd_eq)
 
@@ -252,9 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

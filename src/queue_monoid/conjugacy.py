@@ -8,6 +8,13 @@ automaton accepting the normal-form words of all conjugators, by slicing
 an overapproximation (actions whose projections conjugate the projections)
 into slices of constant overlap-width gain on each side and intersecting
 matching slices.
+
+The slices g_k of one side (gain at least k) are nested, so they are built
+in one downward pass: g_top is the words whose gain is witnessed at the
+largest width top = |write-proj(x)|, and g_m adds those witnessed at width
+m to g_{m+1}.  The right-hand side runs the same pass on the dual pair,
+whose top is |write-proj(dual y)| = |read-proj(y)|: the dual side's slices
+range up to the read length of y, not to the write length of x.
 """
 
 from __future__ import annotations
@@ -92,22 +99,25 @@ def _cycle_prefixes(v: str, alphabet: Alphabet) -> Nfa:
     return Nfa(tuple(alphabet.letters), set(range(n)), {0}, set(range(n)), trans)
 
 
-def g_k_nfa(x: NormalForm, y: NormalForm, k: int, alphabet: Alphabet) -> Nfa:
-    """Normal-form words of projection-compatible z whose overlap width grows
-    by at least k when multiplied by x on the left.
+def _slices(x: NormalForm, y: NormalForm, alphabet: Alphabet, low: int = 0) -> list:
+    """The slices [g_low, ..., g_top, empty] of `g_k_nfa`, top = |write-proj(x)|.
 
-    A normal form reads(z1) pairs(z2) writes(z3) qualifies exactly when some
-    letter word u with k <= |u| <= |write-proj(x)| is a suffix of x2 z1 while
-    u z2 is a prefix of x2 x3 z2.  The second condition makes u the prefix
-    of x2 x3 of its length, so the union below runs over the lengths of u
-    and encodes both conditions as regular constraints on z1 and z2.
+    Built downward in one pass: g_m = minimize(g_{m+1} | (term_m & shape)),
+    where term_m encodes the witnesses u of length m and
+    shape = normal_form_dfa & overconj_nfa(x, y) is built once.  As
+    intersection distributes over union, g_m is the union of the terms
+    m..top cut down to shape, and minimize returns its minimal DFA.
     """
     letters = tuple(alphabet.letters)
     syms = alphabet.symbols
     x2 = x.overlap
     x23 = x.write_projection
-    union: Optional[Nfa] = None
-    for m in range(k, len(x23) + 1):
+    out = [Nfa.empty(syms)]
+    low = max(low, 0)
+    if low > len(x23):
+        return out
+    shape = normal_form_dfa(alphabet).to_nfa().intersect(overconj_nfa(x, y, alphabet))
+    for m in range(len(x23), low - 1, -1):
         u = x23[:m]
         if m == len(x23):
             part_z2 = Nfa.universal(letters)
@@ -122,11 +132,25 @@ def g_k_nfa(x: NormalForm, y: NormalForm, k: int, alphabet: Alphabet) -> Nfa:
             .concat(shuffle_image(part_z2, alphabet))
             .concat(write_star(alphabet))
         )
-        union = term if union is None else union.union(term)
-    if union is None:
-        return Nfa.empty(syms)
-    shaped = union.intersect(normal_form_dfa(alphabet).to_nfa()).minimize()
-    return shaped.intersect(overconj_nfa(x, y, alphabet)).minimize()
+        out.append(out[-1].union(term.intersect(shape)).minimize())
+    out.reverse()
+    return out
+
+
+def g_k_nfa(x: NormalForm, y: NormalForm, k: int, alphabet: Alphabet) -> Nfa:
+    """Normal-form words of projection-compatible z whose overlap width grows
+    by at least k when multiplied by x on the left.
+
+    A normal form reads(z1) pairs(z2) writes(z3) qualifies exactly when some
+    letter word u with k <= |u| <= |write-proj(x)| is a suffix of x2 z1 while
+    u z2 is a prefix of x2 x3 z2.  The second condition makes u the prefix
+    of x2 x3 of its length, so each length m of u gives one term, regular
+    constraints on z1 and z2.  The slices are nested, g_k = g_{k+1} | term_k,
+    so one pass from m = |write-proj(x)| down to k builds them all; for the
+    right-hand slices of `conjugator_nfa` (this function on the dual pair)
+    the pass starts at |write-proj(dual y)| = |read-proj(y)|.
+    """
+    return _slices(x, y, alphabet, k)[0]
 
 
 @dataclass(frozen=True)
@@ -150,14 +174,13 @@ def conjugator_nfa(x: NormalForm, y: NormalForm, alphabet: Alphabet) -> Conjugat
     left multiplication by x and right multiplication by y raise its
     overlap width by the same amount k; that amount is bounded by the
     write-projection length of x, so finitely many slices suffice.  The
-    right-hand slices are obtained from left-hand slices of the dual pair.
+    right-hand slices are obtained from left-hand slices of the dual pair;
+    slices where either side is already empty add nothing.
     """
-    kmax = len(x.write_projection)
-    dx, dy = dual_nf(x), dual_nf(y)
-    left = [g_k_nfa(x, y, k, alphabet) for k in range(kmax + 2)]
-    right = [g_k_nfa(dy, dx, k, alphabet) for k in range(kmax + 2)]
+    left = _slices(x, y, alphabet)
+    right = _slices(dual_nf(y), dual_nf(x), alphabet)
     result = Nfa.empty(alphabet.symbols)
-    for k in range(kmax + 1):
+    for k in range(min(len(left), len(right)) - 1):
         exact_left = left[k].difference(left[k + 1])
         exact_right = dual_automaton(right[k].difference(right[k + 1]))
         result = result.union(exact_left.intersect(exact_right))

@@ -1,7 +1,11 @@
+import time
+
 import pytest
 
-from queue_monoid import NormalForm, rewrite_normalize
+from queue_monoid import NormalForm, equiv_oracle, rewrite_normalize
 from queue_monoid.cli import main
+
+from helpers import AB, words_upto
 
 
 def run(capsys, *argv):
@@ -47,6 +51,27 @@ def test_eq(capsys):
     assert (code, out) == (0, "equivalent")
     code, out, _ = run(capsys, "eq", "--oracle", "--max-queue", "3", "aA", "Aa")
     assert (code, out) == (1, "inequivalent")
+
+
+def test_eq_oracle_on_long_words_is_fast(capsys):
+    # enumerating every queue up to length |u|+|v| = 28 takes about 2^29 runs
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "eq", "--oracle", "aBaBaBaBaBaBaB", "BaBaBaBaBaBaBa")
+    assert (code, out) == (0, "equivalent")
+    assert time.perf_counter() - started < 0.5
+
+
+def test_eq_oracle_agrees_with_equiv_oracle(capsys):
+    # every pair of words up to length 3, at the default bound and capped
+    words = words_upto(3)
+    for cap in (None, 0, 1, 2, 3):
+        flags = [] if cap is None else ["--max-queue", str(cap)]
+        for u in words:
+            for v in words:
+                same = equiv_oracle(u, v, AB, cap)
+                code, out, _ = run(capsys, "eq", "--oracle", *flags, u or "e", v or "e")
+                assert (code, out) == ((0, "equivalent") if same else (1, "inequivalent")), (
+                    cap, u, v)
 
 
 def test_conj(capsys):
@@ -239,6 +264,89 @@ GOLDEN = {
         "trans 4 B 1\n"
         "trans 4 a 4\n"
         "trans 4 b 4\n"
+    ),
+    ("conjset", "--alphabet", "abcd", "BcCdDabc", "BCDccdab"): (
+        "alphabet: abcd\n"
+        "state 0 initial\n"
+        "state 1\n"
+        "state 2\n"
+        "state 3\n"
+        "state 4\n"
+        "state 5\n"
+        "state 6\n"
+        "state 7\n"
+        "state 8 accepting\n"
+        "state 9\n"
+        "state 10\n"
+        "trans 0 B 2\n"
+        "trans 0 c 1\n"
+        "trans 1 d 3\n"
+        "trans 2 C 5\n"
+        "trans 2 c 4\n"
+        "trans 3 a 6\n"
+        "trans 4 C 7\n"
+        "trans 5 D 0\n"
+        "trans 6 b 8\n"
+        "trans 7 d 9\n"
+        "trans 8 c 10\n"
+        "trans 9 D 3\n"
+        "trans 10 c 1\n"
+    ),
+    ("conjset", "aaaaaaa", "aaaaaaa"): (
+        "alphabet: ab\n"
+        "state 0 initial accepting\n"
+        "state 1 accepting\n"
+        "state 2\n"
+        "state 3 accepting\n"
+        "state 4 accepting\n"
+        "trans 0 A 2\n"
+        "trans 0 B 0\n"
+        "trans 0 a 1\n"
+        "trans 1 A 4\n"
+        "trans 1 a 3\n"
+        "trans 2 A 2\n"
+        "trans 2 B 0\n"
+        "trans 3 a 3\n"
+        "trans 4 a 1\n"
+    ),
+    ("conjset", "BBA", "ABB"): (
+        "alphabet: ab\n"
+        "state 0 initial\n"
+        "state 1\n"
+        "state 2\n"
+        "state 3\n"
+        "state 4\n"
+        "state 5 accepting\n"
+        "state 6\n"
+        "state 7 accepting\n"
+        "state 8 accepting\n"
+        "state 9 accepting\n"
+        "state 10 accepting\n"
+        "state 11 accepting\n"
+        "state 12\n"
+        "trans 0 B 2\n"
+        "trans 0 b 1\n"
+        "trans 1 B 3\n"
+        "trans 2 B 5\n"
+        "trans 2 b 4\n"
+        "trans 3 b 6\n"
+        "trans 4 B 7\n"
+        "trans 5 A 0\n"
+        "trans 5 a 8\n"
+        "trans 6 B 9\n"
+        "trans 7 a 8\n"
+        "trans 8 A 12\n"
+        "trans 8 a 10\n"
+        "trans 8 b 11\n"
+        "trans 9 a 8\n"
+        "trans 9 b 10\n"
+        "trans 10 a 10\n"
+        "trans 10 b 10\n"
+        "trans 11 a 10\n"
+        "trans 12 b 1\n"
+    ),
+    ("conjwitness", "--alphabet", "abcd", "BcCdDabc", "BCDccdab"): (
+        "cdab\n"
     ),
 }
 

@@ -164,6 +164,47 @@ def test_conjugator_nfa_against_direct_product_check():
         assert all(not redexes(w) for w in accepted)
 
 
+def _rotated_pair(rng, reads, writes):
+    """A conjugate pair: x interleaves the given read and write projections,
+    y interleaves rotations of them."""
+
+    def interleave(r, w):
+        tags = [0] * len(r) + [1] * len(w)
+        rng.shuffle(tags)
+        rs, ws = iter(r.upper()), iter(w)
+        return "".join(next(ws) if tag else next(rs) for tag in tags)
+
+    def rotate(v):
+        cut = rng.randrange(len(v)) if v else 0
+        return v[cut:] + v[:cut]
+
+    x = rewrite_normalize(interleave(reads, writes))
+    y = rewrite_normalize(interleave(rotate(reads), rotate(writes)))
+    return x, y
+
+
+def test_conjugator_nfa_with_unequal_projection_lengths():
+    # the right-hand slices run up to |read-proj(y)|, which can exceed
+    # |write-proj(x)| + 1; independent random pairs are almost never conjugate
+    rng = random.Random(35)
+    pairs = [(rewrite_normalize("ABA"), rewrite_normalize("ABA")),
+             (rewrite_normalize("BBA"), rewrite_normalize("ABB"))]
+    while len(pairs) < 10:
+        short = rng.randrange(3)
+        long = rng.randrange(short + 2, short + 4)
+        reads = "".join(rng.choice("ab") for _ in range(long))
+        writes = "".join(rng.choice("ab") for _ in range(short))
+        if len(pairs) % 2:
+            reads, writes = writes, reads
+        pairs.append(_rotated_pair(rng, reads, writes))
+    zs = normal_forms_upto(6)
+    for x, y in pairs:
+        assert conjugate(x, y)
+        aut = conjugator_nfa(x, y, AB)
+        for z in zs:
+            assert aut.nfa.accepts(z.word()) == (mul(x, z) == mul(z, y)), (x, y, z)
+
+
 def test_find_conjugator_examples():
     p = rewrite_normalize("Aa")
     assert find_conjugator(p, p, AB) == NormalForm()
