@@ -9,8 +9,9 @@ rational-subset membership test (`rational_member`).
 Every walk over states (renumbering, reachability, products, subset
 construction, shortest words, the class automaton) goes through one
 breadth-first explorer, `_bfs`, which numbers states in discovery order and
-hands each state's moves to the caller as it arrives.  The constructors
-take time linear in the states and transitions they are given.
+hands each state's moves to the caller as it arrives; `Dfa.explore` runs it
+over a deterministic stepper.  The constructors take time linear in the
+states and transitions they are given.
 
 Automata are immutable after construction; every operation returns a fresh
 automaton, so instances can be shared freely between threads.
@@ -350,6 +351,24 @@ class Dfa:
         every.update(src for src, _ in self.transitions)
         every.update(self.transitions.values())
         self.states = frozenset(every)
+
+    @classmethod
+    def explore(cls, symbols, initial, step, accepting) -> "Dfa":
+        """The part of a deterministic stepper reachable from `initial`.
+
+        `step(state, sym)` is the successor or None (no move), and
+        `accepting(state)` tests acceptance; states are kept as given.
+        """
+
+        def moves(state):
+            return [(sym, t) for sym in symbols if (t := step(state, sym)) is not None]
+
+        seen: dict = {}
+        trans: dict = {}
+        for state, out in _bfs([initial], moves, seen):
+            for sym, t in out:
+                trans[(state, sym)] = t
+        return cls(symbols, seen, initial, filter(accepting, seen), trans)
 
     def step(self, state, sym):
         return self.transitions.get((state, sym))
@@ -701,12 +720,6 @@ class ClassAutomaton:
     def is_accepting(self, state) -> bool:
         return self.denote(state) == self.target
 
-    def _moves(self, state) -> list:
-        """(symbol, successor) pairs of the defined steps, in symbol order."""
-        step = self.step
-        return [(sym, nxt) for sym in self.alphabet.symbols
-                if (nxt := step(state, sym)) is not None]
-
     def step(self, state, sym):
         i, j, k, l = state
         if sym.islower():
@@ -729,15 +742,7 @@ class ClassAutomaton:
 def class_dfa(word: str, alphabet: Alphabet) -> Dfa:
     """DFA accepting exactly the words equivalent to `word`."""
     ca = ClassAutomaton(word, alphabet)
-    seen: dict = {}
-    trans: dict = {}
-    accepting = set()
-    for state, moves in _bfs([ca.initial], ca._moves, seen):
-        if ca.is_accepting(state):
-            accepting.add(state)
-        for sym, nxt in moves:
-            trans[(state, sym)] = nxt
-    return Dfa(alphabet.symbols, seen, ca.initial, accepting, trans)
+    return Dfa.explore(alphabet.symbols, ca.initial, ca.step, ca.is_accepting)
 
 
 def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
@@ -750,11 +755,11 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
         if sym.lower() not in alphabet:
             raise ValueError(f"automaton symbol {sym!r} not over alphabet {alphabet.letters!r}")
     ca = ClassAutomaton(word, alphabet)
-    get = nfa.transitions.get
+    step, symbols, get = ca.step, alphabet.symbols, nfa.transitions.get
 
     def moves(pair):
         cstate, q = pair
-        return [(sym, (cnext, qnext)) for sym, cnext in ca._moves(cstate)
+        return [(sym, (cnext, qnext)) for sym in symbols if (cnext := step(cstate, sym)) is not None
                 for qnext in get((q, sym), ())]
 
     for (cstate, q), _ in _bfs([(ca.initial, q) for q in nfa.initial], moves):

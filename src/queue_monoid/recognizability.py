@@ -8,11 +8,15 @@ combinations of inverse-projection conditions and Omega_k sets ("simple
 sets") are exactly the recognizable subsets; `compile_simple` turns such a
 combination into a DFA over operation symbols, and `eval_simple` decides
 membership directly on a normal form.
+
+The automata for Omega_k and for m-shuffled words are direct deterministic
+steppers, explored once and minimized once.  They rest on one fact: the
+levels m at which a word is m-shuffled are downward closed, so a single
+number, the shuffled level, tracks all of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -77,74 +81,64 @@ def in_omega(q: NormalForm, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Automata for Omega_k
-
-
-def _count_exact(n: int, alphabet: Alphabet, kind: str) -> Nfa:
-    """Words with exactly n writes (or reads); the other kind is free."""
-    counted = alphabet.letters if kind == "writes" else alphabet.letters.upper()
-    free = alphabet.letters.upper() if kind == "writes" else alphabet.letters
-    trans: dict = {}
-    for i in range(n + 1):
-        for sym in free:
-            trans[(i, sym)] = {i}
-        if i < n:
-            for sym in counted:
-                trans[(i, sym)] = {i + 1}
-    return Nfa(alphabet.symbols, set(range(n + 1)), {0}, {n}, trans)
-
-
-def _one_symbol(alphabet: Alphabet, kind: str) -> Nfa:
-    syms = alphabet.letters if kind == "writes" else alphabet.letters.upper()
-    return Nfa(alphabet.symbols, {0, 1}, {0}, {1}, {(0, sym): {1} for sym in syms})
+#
+# The levels m at which a word is m-shuffled are downward closed (if the
+# first m writes precede the last m reads one for one, the first m-1 precede
+# the last m-1), so one number, the shuffled level s, replaces any per-write
+# bookkeeping.  A write leaves s unchanged; a read makes the word
+# (m+1)-shuffled exactly when it was m-shuffled and m+1 writes came before
+# it, so s becomes min(s + 1, writes seen).
 
 
 def shuffled_nfa(level: int, alphabet: Alphabet) -> Nfa:
     """Automaton for the words that are `level`-shuffled.
 
-    Intersection over i = 1..level of: exactly i-1 writes, then a write,
-    then anything, then a read, then exactly level-i reads.
+    States are (writes seen, shuffled level), both capped at `level`; these
+    (level+1)(level+2)/2 states already form the minimal automaton.
     """
     _check_k(level)
-    syms = alphabet.symbols
-    if level == 0:
-        return Nfa.universal(syms)
-    out = None
-    for i in range(1, level + 1):
-        factor = (
-            _count_exact(i - 1, alphabet, "writes")
-            .concat(_one_symbol(alphabet, "writes"))
-            .concat(Nfa.universal(syms))
-            .concat(_one_symbol(alphabet, "reads"))
-            .concat(_count_exact(level - i, alphabet, "reads"))
-        )
-        out = factor if out is None else out.intersect(factor).minimize()
-    return out
+
+    def step(state, sym):
+        writes, s = state
+        if sym.islower():
+            return (min(writes + 1, level), s)
+        return (writes, min(s + 1, writes))
+
+    return Dfa.explore(alphabet.symbols, (0, 0), step, lambda state: state[1] == level).to_nfa()
 
 
 def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
     """Automaton for the words whose class lies in Omega_k.
 
-    For every letter word u of length at most k: either u fails to be both
-    a prefix of the write projection and a suffix of the read projection,
-    or the word is |u|-shuffled.
+    Those are the words that are m-shuffled for every border length m <= k,
+    where the first m written letters are the last m read letters.  The
+    state is (first <= k writes, shuffled level, reads), with `reads` the
+    longest suffix of the last <= k read letters that is prefix-compatible
+    with the writes; a longer suffix stays incompatible as the writes grow.
     """
     _check_k(k)
-    syms = alphabet.symbols
-    letters = tuple(alphabet.letters)
-    letters_universal = Nfa.universal(letters)
-    out = Nfa.universal(syms)
-    for m in range(1, k + 1):
-        shuffled = shuffled_nfa(m, alphabet)
-        for tup in itertools.product(letters, repeat=m):
-            u = "".join(tup)
-            starts_u = Nfa.word(u, letters).concat(letters_universal)
-            ends_u = letters_universal.concat(Nfa.word(u, letters))
-            both = inverse_projection(starts_u, alphabet, "writes").intersect(
-                inverse_projection(ends_u, alphabet, "reads")
-            )
-            term = both.complement().union(shuffled).minimize()
-            out = out.intersect(term).minimize()
-    return out
+
+    def step(state, sym):
+        writes, s, reads = state
+        if sym.islower():
+            if len(writes) == k:
+                return state
+            writes += sym
+        else:
+            reads += sym.lower()
+            if len(reads) > k:
+                reads = reads[1:]
+            s = min(s + 1, len(writes))
+        while not (reads.startswith(writes) or writes.startswith(reads)):
+            reads = reads[1:]
+        return (writes, s, reads)
+
+    def accepting(state):
+        writes, s, reads = state
+        return all(writes[:m] != reads[len(reads) - m:]
+                   for m in range(s + 1, min(len(writes), len(reads)) + 1))
+
+    return Dfa.explore(alphabet.symbols, ("", 0, ""), step, accepting).minimize().to_nfa()
 
 
 # ---------------------------------------------------------------------------

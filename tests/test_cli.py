@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -59,6 +60,38 @@ def test_eq_oracle_on_long_words_is_fast(capsys):
     code, out, _ = run(capsys, "eq", "--oracle", "aBaBaBaBaBaBaB", "BaBaBaBaBaBaBa")
     assert (code, out) == (0, "equivalent")
     assert time.perf_counter() - started < 0.5
+
+
+def test_omega_compile_is_fast(capsys):
+    # building one automaton per border word u (62 of them up to k = 5)
+    # instead of one stepper takes about 2 s
+    started = time.perf_counter()
+    assert main(["simple", "omega(5)", "--compile"]) == 0
+    capsys.readouterr()
+    assert time.perf_counter() - started < 1.0
+
+
+# sha256 of the stdout of `simple 'omega(k)' --compile`, taken from the
+# construction with one intersected term per border word u; the minimal DFA
+# is canonical, so equal hashes mean equal languages
+OMEGA_COMPILE_SHA256 = {
+    ("ab", 0): "e9b2fd234088d6b55f8d5cb585c2bded17a5d84358cfb7c5bb3c1fa17da6c140",
+    ("ab", 1): "31be0e357b00feed54ad1c53496f642469e6894727183b921f0f10f4469fe5ce",
+    ("ab", 2): "d9936f018c22a1320621e62f7fc2a7b67f2f63af6015bf20ab1dd38493d7a9fa",
+    ("ab", 3): "70648e33b49dee53488381807beb1a343a9eaa75b71a62b46f9506493b1efa0c",
+    ("ab", 4): "79335ca09676027dcab793e85d090ed694e0197ccfb235fb91647e2289c0f575",
+    ("abc", 0): "c923b9ae3a283f7f6b6ec8dd02d135ddc899c15570b507c0ca2779a56fbde4fe",
+    ("abc", 1): "d196a80782b6278e9a16a9759f70384ab24d114cfff347cdadbc9304f5a48ebc",
+    ("abc", 2): "570e4a34d2cb038d9748af6bb0a9eea5281cb080c595054f1a90f5d264c51140",
+    ("abc", 3): "7e18e881b2817e1d9f9ee00f5bd49064c6ad1b7fc9b4704caeec4b137de25c1c",
+}
+
+
+@pytest.mark.parametrize("letters,k", sorted(OMEGA_COMPILE_SHA256))
+def test_omega_compile_matches_golden_hash(capsys, letters, k):
+    assert main(["simple", f"omega({k})", "--compile", "--alphabet", letters]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == OMEGA_COMPILE_SHA256[(letters, k)]
 
 
 def test_eq_oracle_agrees_with_equiv_oracle(capsys):

@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queue_monoid import (
     And,
@@ -13,6 +16,7 @@ from queue_monoid import (
     PiIn,
     compile_simple,
     eval_simple,
+    eval_word,
     in_omega,
     k_shuffled,
     mul,
@@ -25,7 +29,12 @@ from queue_monoid import (
     shuffled_nfa,
 )
 
-from helpers import AB, letter_words_upto, normal_forms_upto, words_upto
+from helpers import AB, ABC, letter_words_upto, normal_forms_upto, words_upto
+
+
+# words of up to 40 symbols; the read-then-write pairs make borders that
+# separate Omega_k from Omega_(k-1) far more often than uniform letters do
+long_words = st.lists(st.sampled_from(["a", "b", "A", "B", "Aa", "Bb"]), max_size=20).map("".join)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +74,17 @@ def test_shuffledness_equals_width_when_borders_match():
 
 
 def test_shuffled_nfa_matches_direct_check():
-    for level in range(4):
-        m = shuffled_nfa(level, AB).determinize()
-        for w in words_upto(5):
-            assert m.accepts(w) == k_shuffled(w, level), (level, w)
+    for alphabet, max_len in ((AB, 7), (ABC, 5)):
+        words = words_upto(max_len, alphabet.symbols)
+        for level in range(6):
+            m = shuffled_nfa(level, alphabet).determinize()
+            for w in words:
+                assert m.accepts(w) == k_shuffled(w, level), (alphabet, level, w)
+
+
+@given(long_words, st.integers(0, 8))
+def test_shuffled_nfa_matches_direct_check_on_long_words(w, level):
+    assert shuffled_nfa(level, AB).accepts(w) == k_shuffled(w, level)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +152,29 @@ def test_omega_nfa_acceptance_is_class_closed():
 
 def test_omega_word_characterization():
     # membership is equivalent to being |u|-shuffled for every border word u
-    for k in range(3):
-        d = omega_nfa(k, AB).determinize()
-        for w in words_upto(5):
-            pw, pr = proj(w)
-            expected = all(
-                k_shuffled(w, m)
-                for m in range(min(k, len(pw), len(pr)) + 1)
-                if pw[:m] == pr[len(pr) - m:]
-            )
-            assert d.accepts(w) == expected, (k, w)
+    for alphabet, max_len, top in ((AB, 7, 4), (ABC, 5, 3)):
+        words = words_upto(max_len, alphabet.symbols)
+        for k in range(top + 1):
+            d = omega_nfa(k, alphabet).determinize()
+            for w in words:
+                pw, pr = proj(w)
+                expected = all(
+                    k_shuffled(w, m)
+                    for m in range(min(k, len(pw), len(pr)) + 1)
+                    if pw[:m] == pr[len(pr) - m:]
+                )
+                assert d.accepts(w) == expected, (alphabet, k, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_dfa(k):
+    return omega_nfa(k, AB).determinize()
+
+
+@given(long_words, st.integers(0, 4))
+@settings(max_examples=200)
+def test_omega_nfa_matches_in_omega_on_long_words(w, k):
+    assert _omega_dfa(k).accepts(w) == in_omega(eval_word(w), k)
 
 
 def test_prefix_split_inside_omega():
