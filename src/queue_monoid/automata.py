@@ -10,7 +10,7 @@ Every walk over states (renumbering, reachability, products, subset
 construction, shortest words, the class automaton) goes through one
 breadth-first explorer, `_bfs`, which numbers states in discovery order and
 hands each state's moves to the caller as it arrives; `Dfa.explore` runs it
-over a deterministic stepper.  The constructors take time linear in the
+over the moves of a deterministic stepper.  The constructors take time linear in the
 states and transitions they are given.
 
 Automata are immutable after construction; every operation returns a fresh
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from .core import Alphabet, NormalForm, eval_word, overlap
+from .core import Alphabet, NormalForm, eval_word
 
 __all__ = [
     "Nfa",
@@ -330,7 +330,8 @@ class Nfa:
                        {k: v for k, v in self.transitions.items()})
 
     def to_text(self) -> str:
-        return _to_text(self)
+        m = self.relabel()
+        return _to_text(m.alphabet, m.states, m.initial, m.accepting, m.transitions)
 
     @classmethod
     def from_text(cls, text: str) -> "Nfa":
@@ -353,16 +354,13 @@ class Dfa:
         self.states = frozenset(every)
 
     @classmethod
-    def explore(cls, symbols, initial, step, accepting) -> "Dfa":
+    def explore(cls, symbols, initial, moves, accepting) -> "Dfa":
         """The part of a deterministic stepper reachable from `initial`.
 
-        `step(state, sym)` is the successor or None (no move), and
-        `accepting(state)` tests acceptance; states are kept as given.
+        `moves(state)` gives the state's (symbol, successor) pairs, at most
+        one per symbol, as for `_bfs`; `accepting(state)` tests acceptance.
+        States are kept as given.
         """
-
-        def moves(state):
-            return [(sym, t) for sym in symbols if (t := step(state, sym)) is not None]
-
         seen: dict = {}
         trans: dict = {}
         for state, out in _bfs([initial], moves, seen):
@@ -451,6 +449,12 @@ class Dfa:
         return _to_dot(self.alphabet, self.states, {self.initial}, self.accepting,
                        {k: {v} for k, v in self.transitions.items()})
 
+    def to_text(self) -> str:
+        """Same text as ``to_nfa().to_text()``: `renumber` visits states as `Nfa.relabel` does."""
+        m = self.renumber()
+        return _to_text(m.alphabet, m.states, {m.initial}, m.accepting,
+                        {k: (v,) for k, v in m.transitions.items()})
+
 
 # ---------------------------------------------------------------------------
 # Export formats
@@ -490,18 +494,18 @@ def _to_dot(alphabet, states, initial, accepting, transitions) -> str:
     return "\n".join(lines)
 
 
-def _to_text(nfa: Nfa) -> str:
-    m = nfa.relabel()
-    letters = sorted({sym.lower() for sym in m.alphabet})
+def _to_text(alphabet, states, initial, accepting, transitions) -> str:
+    """Text of an automaton whose states are already numbered 0, 1, ..."""
+    letters = sorted({sym.lower() for sym in alphabet})
     lines = [f"alphabet: {''.join(letters)}"]
-    for s in sorted(m.states):
+    for s in sorted(states):
         flags = ""
-        if s in m.initial:
+        if s in initial:
             flags += " initial"
-        if s in m.accepting:
+        if s in accepting:
             flags += " accepting"
         lines.append(f"state {s}{flags}")
-    for (src, sym), dsts in sorted(m.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (src, sym), dsts in sorted(transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         for d in sorted(dsts):
             lines.append(f"trans {src} {sym} {d}")
     return "\n".join(lines) + "\n"
@@ -677,9 +681,17 @@ class ClassAutomaton:
 
     States are index quadruples (i, j, k, l) into `word`: positions i..j
     delimit the reads consumed against the read block, k..l the writes
-    produced so far, subject to the consistency condition that the reads
-    strictly inside (i, j] spell the same letters as the writes in [1, k].
-    Each state denotes a normal form that is a left divisor of the class.
+    produced so far.  Each state denotes a normal form that is a left
+    divisor of the class: reads R[:rc(i)], overlap R[rc(i):rc(j)], writes
+    W[wc(k):wc(l)], where R and W are the read and write projections of
+    `word` and rc(p), wc(p) count the reads and writes among its first p
+    symbols.
+
+    Invariant of every reachable state: the reads in (i, j] spell W[:wc(k)].
+    The overlap after a read of c is the longest suffix of W[:wc(k)] + c
+    that is a prefix of W[:wc(l)], so the overlap length moves like the
+    Knuth-Morris-Pratt automaton of W, capped at wc(l): one table lookup
+    per read instead of a string comparison.
     """
 
     def __init__(self, word: str, alphabet: Alphabet):
@@ -688,15 +700,17 @@ class ClassAutomaton:
         n = len(word)
         self.read_positions = [p for p in range(1, n + 1) if word[p - 1].isupper()]
         self.write_positions = [p for p in range(1, n + 1) if word[p - 1].islower()]
-        pi = [""]
-        pibar = [""]
+        self._reads = "".join(word[p - 1].lower() for p in self.read_positions)
+        self._writes = "".join(word[p - 1] for p in self.write_positions)
+        # counts of reads/writes among the first p symbols, and the next of each after p
+        self._rc, self._wc = [0], [0]
         for sym in word:
-            pi.append(pi[-1] + (sym if sym.islower() else ""))
-            pibar.append(pibar[-1] + (sym.lower() if sym.isupper() else ""))
-        self.pi_pref = pi
-        self.pibar_pref = pibar
+            upper = sym.isupper()
+            self._rc.append(self._rc[-1] + upper)
+            self._wc.append(self._wc[-1] + (not upper))
         self.next_read = self._next_table(self.read_positions, n)
         self.next_write = self._next_table(self.write_positions, n)
+        self._fail, self._kmp = self._kmp_tables(self._writes)
         self.target = eval_word(word)
         self.initial = (0, 0, 0, 0)
 
@@ -710,39 +724,66 @@ class ClassAutomaton:
             out.append(positions[idx] if idx < len(positions) else None)
         return out
 
+    @staticmethod
+    def _kmp_tables(w: str):
+        """Failure function of `w`, and its KMP automaton on states 0..|w|-1.
+
+        fail[m] is the longest proper border of w[:m]; kmp[m][c] is the
+        longest suffix of w[:m] + c that is a prefix of w (absent means 0).
+        """
+        fail = [0] * (len(w) + 1)
+        kmp: list = []
+        for m, c in enumerate(w):
+            row = dict(kmp[fail[m]]) if m else {}
+            row[c] = m + 1
+            kmp.append(row)
+            if m:
+                fail[m + 1] = kmp[fail[m]].get(c, 0)
+        return fail, kmp
+
     def denote(self, state) -> NormalForm:
         i, j, k, l = state
-        p1 = self.pibar_pref[i]
-        p2 = self.pibar_pref[j][len(p1):]
-        p3 = self.pi_pref[l][len(self.pi_pref[k]):]
-        return NormalForm(p1, p2, p3)
+        ri, wk = self._rc[i], self._wc[k]
+        return NormalForm(self._reads[:ri], self._reads[ri:self._rc[j]],
+                          self._writes[wk:self._wc[l]])
 
     def is_accepting(self, state) -> bool:
-        return self.denote(state) == self.target
+        i, j, k, l = state
+        t = self.target
+        return (self._rc[j] == len(self._reads) and self._wc[l] == len(self._writes)
+                and self._rc[i] == len(t.reads) and self._wc[k] == len(t.overlap))
 
     def step(self, state, sym):
+        return dict(self._moves(state)).get(sym)
+
+    def _moves(self, state) -> list:
+        """(symbol, successor) pairs: the word's next write, then its next read."""
         i, j, k, l = state
-        if sym.islower():
-            l2 = self.next_write[l]
-            if l2 is None or self.word[l2 - 1] != sym:
-                return None
-            return (i, j, k, l2)
-        letter = sym.lower()
+        out = []
+        word = self.word
+        l2 = self.next_write[l]
+        if l2 is not None:
+            out.append((word[l2 - 1], (i, j, k, l2)))
         j2 = self.next_read[j]
-        if j2 is None or self.word[j2 - 1].lower() != letter:
-            return None
-        p2 = self.pibar_pref[j][len(self.pibar_pref[i]):]
-        s = overlap(p2 + letter, self.pi_pref[l])
-        dropped = len(self.pibar_pref[j2]) - len(s)
-        i2 = 0 if dropped == 0 else self.read_positions[dropped - 1]
-        k2 = 0 if not s else self.write_positions[len(s) - 1]
-        return (i2, j2, k2, l)
+        if j2 is not None:
+            sym = word[j2 - 1]
+            c = sym.lower()
+            kc, writes = self._wc[k], self._writes
+            if kc < self._wc[l] and writes[kc] == c:
+                kc += 1
+            else:
+                kc = self._kmp[self._fail[kc]].get(c, 0) if kc else 0
+            dropped = self._rc[j2] - kc
+            i2 = self.read_positions[dropped - 1] if dropped else 0
+            k2 = self.write_positions[kc - 1] if kc else 0
+            out.append((sym, (i2, j2, k2, l)))
+        return out
 
 
 def class_dfa(word: str, alphabet: Alphabet) -> Dfa:
     """DFA accepting exactly the words equivalent to `word`."""
     ca = ClassAutomaton(word, alphabet)
-    return Dfa.explore(alphabet.symbols, ca.initial, ca.step, ca.is_accepting)
+    return Dfa.explore(alphabet.symbols, ca.initial, ca._moves, ca.is_accepting)
 
 
 def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
@@ -755,11 +796,11 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
         if sym.lower() not in alphabet:
             raise ValueError(f"automaton symbol {sym!r} not over alphabet {alphabet.letters!r}")
     ca = ClassAutomaton(word, alphabet)
-    step, symbols, get = ca.step, alphabet.symbols, nfa.transitions.get
+    class_moves, get = ca._moves, nfa.transitions.get
 
     def moves(pair):
         cstate, q = pair
-        return [(sym, (cnext, qnext)) for sym in symbols if (cnext := step(cstate, sym)) is not None
+        return [(sym, (cnext, qnext)) for sym, cnext in class_moves(cstate)
                 for qnext in get((q, sym), ())]
 
     for (cstate, q), _ in _bfs([(ca.initial, q) for q in nfa.initial], moves):

@@ -37,12 +37,11 @@ from .recognizability import (
 __all__ = ["main"]
 
 
-def _emit_automaton(nfa_or_dfa, dot: bool) -> None:
+def _emit_automaton(automaton, dot: bool) -> None:
     if dot:
-        print(nfa_or_dfa.to_dot())
+        print(automaton.to_dot())
     else:
-        nfa = nfa_or_dfa if isinstance(nfa_or_dfa, Nfa) else nfa_or_dfa.to_nfa()
-        print(nfa.to_text(), end="")
+        print(automaton.to_text(), end="")
 
 
 def _cmd_nf(args) -> int:

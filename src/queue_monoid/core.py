@@ -184,9 +184,12 @@ def profile_equivalent(u: str, v: str, max_queue_len: Optional[int] = None) -> b
 
     Same predicate as `equiv_oracle` (two distinct profiles always disagree
     on a concrete queue, given at least two letters), but computed without
-    enumerating queues.
+    enumerating queues.  A profile stops changing once n reaches the
+    word's number of reads (every read then takes a cell of the original
+    queue), so no n beyond the larger read count is tried, whatever the cap.
     """
-    bound = _queue_bound(u, v, max_queue_len)
+    reads = max(sum(map(str.isupper, u)), sum(map(str.isupper, v)))
+    bound = min(_queue_bound(u, v, max_queue_len), reads)
     return all(act_profile(u, n) == act_profile(v, n) for n in range(bound + 1))
 
 

@@ -17,6 +17,7 @@ number, the shuffled level, tracks all of them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -97,14 +98,14 @@ def shuffled_nfa(level: int, alphabet: Alphabet) -> Nfa:
     (level+1)(level+2)/2 states already form the minimal automaton.
     """
     _check_k(level)
+    letters = alphabet.letters
 
-    def step(state, sym):
+    def moves(state):
         writes, s = state
-        if sym.islower():
-            return (min(writes + 1, level), s)
-        return (writes, min(s + 1, writes))
+        wrote, read = (min(writes + 1, level), s), (writes, min(s + 1, writes))
+        return [(c, wrote) for c in letters] + [(c.upper(), read) for c in letters]
 
-    return Dfa.explore(alphabet.symbols, (0, 0), step, lambda state: state[1] == level).to_nfa()
+    return Dfa.explore(alphabet.symbols, (0, 0), moves, lambda state: state[1] == level).to_nfa()
 
 
 def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
@@ -116,7 +117,13 @@ def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
     longest suffix of the last <= k read letters that is prefix-compatible
     with the writes; a longer suffix stays incompatible as the writes grow.
     """
+    return _omega_dfa(k, alphabet).to_nfa()
+
+
+def _omega_dfa(k: int, alphabet: Alphabet) -> Dfa:
+    """The minimal DFA that `omega_nfa` returns as an Nfa."""
     _check_k(k)
+    symbols = alphabet.symbols
 
     def step(state, sym):
         writes, s, reads = state
@@ -133,12 +140,15 @@ def omega_nfa(k: int, alphabet: Alphabet) -> Nfa:
             reads = reads[1:]
         return (writes, s, reads)
 
+    def moves(state):
+        return [(sym, step(state, sym)) for sym in symbols]
+
     def accepting(state):
         writes, s, reads = state
         return all(writes[:m] != reads[len(reads) - m:]
                    for m in range(s + 1, min(len(writes), len(reads)) + 1))
 
-    return Dfa.explore(alphabet.symbols, ("", 0, ""), step, accepting).minimize().to_nfa()
+    return Dfa.explore(symbols, ("", 0, ""), moves, accepting).minimize()
 
 
 # ---------------------------------------------------------------------------
@@ -201,29 +211,45 @@ def eval_simple(expr: SimpleSetExpr, q: NormalForm) -> bool:
     raise TypeError(f"not a simple-set expression: {expr!r}")
 
 
-def _compile(expr: SimpleSetExpr, alphabet: Alphabet) -> Nfa:
+def _product(left: Dfa, right: Dfa, keep) -> Dfa:
+    """Minimal DFA of the product, accepting where `keep(in left, in right)`."""
+    left, right = left.complete(), right.complete()
+    lt, rt = left.transitions, right.transitions
+
+    def moves(pair):
+        p, q = pair
+        return [(sym, (lt[(p, sym)], rt[(q, sym)])) for sym in left.alphabet]
+
+    def accepting(pair):
+        return keep(pair[0] in left.accepting, pair[1] in right.accepting)
+
+    return Dfa.explore(left.alphabet, (left.initial, right.initial), moves, accepting).minimize()
+
+
+def _compile(expr: SimpleSetExpr, alphabet: Alphabet) -> Dfa:
+    """Minimal DFA of one node; every node is minimized once."""
     if isinstance(expr, PiIn):
-        return inverse_projection(expr.lang, alphabet, "writes")
+        return inverse_projection(expr.lang, alphabet, "writes").determinize().minimize()
     if isinstance(expr, PiBarIn):
-        return inverse_projection(expr.lang, alphabet, "reads")
+        return inverse_projection(expr.lang, alphabet, "reads").determinize().minimize()
     if isinstance(expr, Omega):
-        return omega_nfa(expr.k, alphabet)
+        return _omega_dfa(expr.k, alphabet)
     if isinstance(expr, And):
-        return _compile(expr.left, alphabet).intersect(_compile(expr.right, alphabet)).minimize()
+        return _product(_compile(expr.left, alphabet), _compile(expr.right, alphabet), operator.and_)
     if isinstance(expr, Or):
-        return _compile(expr.left, alphabet).union(_compile(expr.right, alphabet)).minimize()
+        return _product(_compile(expr.left, alphabet), _compile(expr.right, alphabet), operator.or_)
     if isinstance(expr, Not):
         return _compile(expr.expr, alphabet).complement().minimize()
     raise TypeError(f"not a simple-set expression: {expr!r}")
 
 
 def compile_simple(expr: SimpleSetExpr, alphabet: Alphabet) -> Dfa:
-    """DFA over operation symbols accepting { w | nf(w) in the set }.
+    """Minimal DFA over operation symbols accepting { w | nf(w) in the set }.
 
     Every atom compiles to an automaton closed under equivalence of words,
     so the result accepts a word exactly when it accepts its normal form.
     """
-    return _compile(expr, alphabet).determinize().minimize()
+    return _compile(expr, alphabet)
 
 
 # ---------------------------------------------------------------------------

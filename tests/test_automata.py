@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queue_monoid import (
     ClassAutomaton,
     Nfa,
+    apply_redex,
     class_dfa,
     dual,
     dual_automaton,
+    eval_word,
     inverse_projection,
+    mul,
     nfa_from_regex,
     normal_form_dfa,
     proj,
@@ -308,3 +313,58 @@ def test_rational_member_against_brute_force():
             if len(v) == len(w)
         )
         assert rational_member(w, m, AB) == brute, w
+
+
+# words whose write projection is periodic, a^n, (ab)^n or (aab)^n, with
+# reads that follow it from some phase, a few letters flipped: borders of
+# the write projection make the class automaton fall back along its KMP
+# failure links
+@st.composite
+def periodic_words(draw):
+    period = draw(st.sampled_from(["a", "ab", "aab"]))
+    writes = (period * 20)[: draw(st.integers(0, 20))]
+    phase = draw(st.integers(0, len(period)))
+    reads = list((period * 21)[phase: phase + draw(st.integers(0, 20))])
+    for idx in draw(st.lists(st.integers(0, 19), max_size=2)):
+        if idx < len(reads):
+            reads[idx] = "b" if reads[idx] == "a" else "a"
+    return _interleave(draw, writes, "".join(reads).upper())
+
+
+def _interleave(draw, writes, reads):
+    order = draw(st.permutations([0] * len(writes) + [1] * len(reads)))
+    parts = [iter(writes), iter(reads)]
+    return "".join(next(parts[side]) for side in order)
+
+
+def _rewrite_walk(draw, w):
+    for _ in range(draw(st.integers(0, 30))):
+        found = redexes(w)
+        if not found:
+            break
+        w = apply_redex(w, *draw(st.sampled_from(found)))
+    return w
+
+
+@given(periodic_words(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_class_automaton_on_periodic_write_projections(w, data):
+    target = eval_word(w)
+    d = class_dfa(w, AB)
+    writes, reads = proj(w)
+    samples = [_rewrite_walk(data.draw, w) for _ in range(3)]
+    samples += [_interleave(data.draw, writes, reads.upper()) for _ in range(3)]
+    for v in samples:
+        same = eval_word(v) == target
+        assert d.accepts(v) == same, (w, v)
+        assert rational_member(w, Nfa.word(v, SIGMA), AB) == same, (w, v)
+    # every move lands on the normal form of its source times the symbol,
+    # and `step` is the same function as the moves
+    ca = ClassAutomaton(w, AB)
+    for state in d.states:
+        moves = dict(ca._moves(state))
+        for sym in SIGMA:
+            assert ca.step(state, sym) == moves.get(sym), (w, state, sym)
+            if sym in moves:
+                assert ca.denote(moves[sym]) == mul(ca.denote(state), eval_word(sym)), (
+                    w, state, sym)

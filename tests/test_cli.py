@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -62,6 +63,17 @@ def test_eq_oracle_on_long_words_is_fast(capsys):
     assert time.perf_counter() - started < 0.5
 
 
+def test_eq_oracle_with_a_huge_cap_is_fast(capsys):
+    # no queue longer than the words' read count can tell them apart, so the
+    # cap does not set the work; trying every length up to it takes hours
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "eq", "--oracle", "--max-queue", "1000000000", "aB", "Ba")
+    assert (code, out) == (0, "equivalent")
+    code, out, _ = run(capsys, "eq", "--oracle", "--max-queue", "1000000000", "aA", "Aa")
+    assert (code, out) == (1, "inequivalent")
+    assert time.perf_counter() - started < 0.5
+
+
 def test_omega_compile_is_fast(capsys):
     # building one automaton per border word u (62 of them up to k = 5)
     # instead of one stepper takes about 2 s
@@ -92,6 +104,55 @@ def test_omega_compile_matches_golden_hash(capsys, letters, k):
     assert main(["simple", f"omega({k})", "--compile", "--alphabet", letters]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == OMEGA_COMPILE_SHA256[(letters, k)]
+
+
+def _seeded_word(n, letters):
+    rng = random.Random(n)
+    symbols = letters + letters.upper()
+    return "".join(rng.choice(symbols) for _ in range(n))
+
+
+CLASSDFA_WORDS = {
+    **{f"{letters}-{n}": (letters, _seeded_word(n, letters))
+       for letters in ("ab", "abc") for n in (20, 60, 120)},
+    # periodic write projections: borders make reads fall back along KMP links
+    "a-periodic": ("ab", "a" * 6 + "A" * 3 + "a" * 6 + "A" * 6),
+    "ab-periodic": ("ab", "ab" * 4 + "AB" * 2 + "ab" * 3 + "AB" * 3 + "ab" * 2),
+    "aab-periodic": ("abc", "aab" * 3 + "AAB" + "aab" * 2 + "AABAAB" + "a" + "AABA"),
+}
+
+# sha256 of the stdout of `classdfa` (text, then --dot), taken from the
+# construction that compared prefix strings on every read; the DOT labels
+# are the (i,j,k,l) states, so these also pin the state encoding
+CLASSDFA_SHA256 = {
+    "ab-20": ("49e074131bc654518eb97ee2ae609b54f8ecdcbb07f9b42e34dd31624b806942",
+              "d9b3c4912eb0fc040d5650c7744159a60aa02a4366389367891580d0e721a910"),
+    "ab-60": ("5dd718e4f5f6646c2ac1ca671ba98ad13d11a0637e3b4d356422f9ca3cc08d4a",
+              "1d1fd3139af9483303f54b7a135f2250cc0c88d6e74c5734a63e0ad980f11776"),
+    "ab-120": ("6e6775d488c418afd28d510ed786b0f6eb93062a344e15d998060b70c3f3444a",
+               "5ee6bd746fb085d7aad537fb65b1a903650f3f0d43ac1b489b197d9d7b61c29f"),
+    "abc-20": ("64b4544ec6dbdd7a93b7c17253005fb0a36e8dcfc2e76ee9b3d70d3d1c79e285",
+               "be86db8b5ae72d7c37789ebbe40c2faf234f0e9c0d3a61efef9981bd95b62772"),
+    "abc-60": ("033ab9b0fca0dc7adbdfd575e7616633337ee414b55a96de95fb83c79e88c921",
+               "01ac746f2b4a0d2be7a353ccca3220f39d5829dce16942eda6d214fecccd37ab"),
+    "abc-120": ("be0e54b3ae4f4eb9ad16ef09d9a1a4da7b8ce5e3727d053898203e5889c1468c",
+                "2887f70414cfa4d0cc7978c4b4da1684f12c9fb90fa21e9de446d37c35c1a093"),
+    "a-periodic": ("c44dab735661e928bc6db184da33453ef0838e1d8792daf4a8e076aa37db3874",
+                   "17b184549f1ef4f555a2a6a1e2851d7c7806e17aa1a77bbf7ef12b4e13041bdc"),
+    "ab-periodic": ("c18f95ef90175e0498ef91995f4ff8a5efd3de7c153766b17b8e04ed9274892c",
+                    "33688964deda1698dd5d6056543cab1111a769d772647ba47e579e1369958ffb"),
+    "aab-periodic": ("b9234832ff31196229df5b2797ddb408900c6af0969307430510f2205400b861",
+                     "7e844dba76a601931a87c445f6a64d5e8d7b892ac6639597b1ee8c32d9b79e6a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSDFA_SHA256))
+@pytest.mark.parametrize("dot", [False, True])
+def test_classdfa_matches_golden_hash(capsys, name, dot):
+    letters, word = CLASSDFA_WORDS[name]
+    assert main(["classdfa", "--alphabet", letters, word] + (["--dot"] if dot else [])) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLASSDFA_SHA256[name][dot]
 
 
 def test_eq_oracle_agrees_with_equiv_oracle(capsys):
