@@ -396,36 +396,27 @@ class Dfa:
                    full.states - full.accepting, full.transitions)
 
     def minimize(self) -> "Dfa":
-        full = self.complete()
-        states = sorted(full.states, key=repr)
-        block = {s: (s in full.accepting) for s in states}
+        """Minimal DFA, renumbered, without a dead state: Moore's refinement on
+        integers, each round splitting blocks by one successor column per symbol."""
+        sink = object()  # the target of every missing move
+        states = [*self.states, sink]
+        index = {s: i for i, s in enumerate(states)}
+        get = self.transitions.get
+        columns = [[index[get((s, sym), sink)] for s in states] for sym in self.alphabet]
+        block = [s in self.accepting for s in states]
+        ids = set(block)
         while True:
-            sigs = {
-                s: (block[s], tuple(block[full.transitions[(s, sym)]] for sym in full.alphabet))
-                for s in states
-            }
-            ids: dict = {}
-            new_block = {}
-            for s in states:
-                new_block[s] = ids.setdefault(sigs[s], len(ids))
-            if len(set(new_block.values())) == len(set(block.values())):
-                block = new_block
+            count, ids = len(ids), {}
+            block = [ids.setdefault(sig, len(ids))
+                     for sig in zip(block, *[map(block.__getitem__, col) for col in columns])]
+            if len(ids) == count:
                 break
-            block = new_block
-        trans = {}
-        accepting = set()
-        for s in states:
-            b = block[s]
-            if s in full.accepting:
-                accepting.add(b)
-            for sym in full.alphabet:
-                trans[(b, sym)] = block[full.transitions[(s, sym)]]
-        blocks = set(block.values())
-        # the block of the empty language is the one that rejects and only loops
-        dead = {b for b in blocks if b not in accepting
-                and all(trans[(b, sym)] == b for sym in full.alphabet)}
-        live = {key: t for key, t in trans.items() if t not in dead}
-        return Dfa(full.alphabet, blocks, block[full.initial], accepting, live).renumber()
+        accepting = {b for b, s in zip(block, states) if s in self.accepting}
+        dead = block[-1]  # the sink's block: every state whose language is empty
+        rep = {b: i for i, b in enumerate(block)}  # any state stands for its block
+        live = {(b, sym): block[col[i]] for b, i in rep.items()
+                for sym, col in zip(self.alphabet, columns) if block[col[i]] != dead}
+        return Dfa(self.alphabet, rep, block[index[self.initial]], accepting, live).renumber()
 
     def renumber(self) -> "Dfa":
         get, alphabet = self.transitions.get, self.alphabet

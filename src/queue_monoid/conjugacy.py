@@ -177,6 +177,8 @@ def conjugator_nfa(x: NormalForm, y: NormalForm, alphabet: Alphabet) -> Conjugat
     right-hand slices are obtained from left-hand slices of the dual pair;
     slices where either side is already empty add nothing.
     """
+    if not conjugate(x, y):
+        return ConjugatorAutomaton(Nfa.empty(alphabet.symbols).minimize(), x, y)
     left = _slices(x, y, alphabet)
     right = _slices(dual_nf(y), dual_nf(x), alphabet)
     result = Nfa.empty(alphabet.symbols)

@@ -17,7 +17,6 @@ number, the shuffled level, tracks all of them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -211,45 +210,53 @@ def eval_simple(expr: SimpleSetExpr, q: NormalForm) -> bool:
     raise TypeError(f"not a simple-set expression: {expr!r}")
 
 
-def _product(left: Dfa, right: Dfa, keep) -> Dfa:
-    """Minimal DFA of the product, accepting where `keep(in left, in right)`."""
-    left, right = left.complete(), right.complete()
-    lt, rt = left.transitions, right.transitions
-
-    def moves(pair):
-        p, q = pair
-        return [(sym, (lt[(p, sym)], rt[(q, sym)])) for sym in left.alphabet]
-
-    def accepting(pair):
-        return keep(pair[0] in left.accepting, pair[1] in right.accepting)
-
-    return Dfa.explore(left.alphabet, (left.initial, right.initial), moves, accepting).minimize()
-
-
-def _compile(expr: SimpleSetExpr, alphabet: Alphabet) -> Dfa:
-    """Minimal DFA of one node; every node is minimized once."""
-    if isinstance(expr, PiIn):
-        return inverse_projection(expr.lang, alphabet, "writes").determinize().minimize()
-    if isinstance(expr, PiBarIn):
-        return inverse_projection(expr.lang, alphabet, "reads").determinize().minimize()
-    if isinstance(expr, Omega):
-        return _omega_dfa(expr.k, alphabet)
-    if isinstance(expr, And):
-        return _product(_compile(expr.left, alphabet), _compile(expr.right, alphabet), operator.and_)
-    if isinstance(expr, Or):
-        return _product(_compile(expr.left, alphabet), _compile(expr.right, alphabet), operator.or_)
-    if isinstance(expr, Not):
-        return _compile(expr.expr, alphabet).complement().minimize()
-    raise TypeError(f"not a simple-set expression: {expr!r}")
-
-
 def compile_simple(expr: SimpleSetExpr, alphabet: Alphabet) -> Dfa:
     """Minimal DFA over operation symbols accepting { w | nf(w) in the set }.
 
     Every atom compiles to an automaton closed under equivalence of words,
     so the result accepts a word exactly when it accepts its normal form.
+    One product of the distinct atoms' minimal DFAs, accepting where the
+    expression holds on the atoms' acceptance bits, is minimized once.
     """
-    return _compile(expr, alphabet)
+    # program is the expression in postfix; atoms key Omega by k, the others by object
+    atoms, program, todo = {}, [], [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (PiIn, PiBarIn, Omega)):
+            program.append(atoms.setdefault(node, len(atoms)))
+        elif isinstance(node, (And, Or, Not)):
+            program.append(type(node))
+            todo += (node.expr,) if isinstance(node, Not) else (node.left, node.right)
+        else:
+            raise TypeError(f"not a simple-set expression: {node!r}")
+    program.reverse()
+    symbols, rows, finals = alphabet.symbols, [], []
+    for atom in atoms:
+        if isinstance(atom, Omega):
+            dfa = _omega_dfa(atom.k, alphabet)
+        else:
+            track = "writes" if isinstance(atom, PiIn) else "reads"
+            dfa = inverse_projection(atom.lang, alphabet, track).determinize().minimize()
+        n = len(dfa.states)  # minimize numbers the states 0..n-1; n is the dead state
+        rows.append([tuple(dfa.transitions.get((q, sym), n) for sym in symbols) for q in range(n + 1)])
+        finals.append(dfa.accepting)
+
+    def moves(state):
+        return list(zip(symbols, zip(*[row[q] for row, q in zip(rows, state)])))
+
+    def accepting(state):
+        stack = []
+        for op in program:
+            if op is Not:
+                stack.append(not stack.pop())
+            elif op is And or op is Or:
+                right, left = stack.pop(), stack.pop()
+                stack.append(left and right if op is And else left or right)
+            else:
+                stack.append(state[op] in finals[op])
+        return stack.pop()
+
+    return Dfa.explore(symbols, (0,) * len(rows), moves, accepting).minimize()
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,40 @@ def random_nfa(rng: random.Random, max_states=5, symbols=SIGMA, density=0.25):
 
 def is_normal_form_word(w):
     return not redexes(w)
+
+
+def moore_minimize(dfa):
+    """Test-only reference for `Dfa.minimize`: Moore's refinement on
+    signatures of states sorted by repr, the construction it replaced."""
+    from queue_monoid import Dfa
+
+    full = dfa.complete()
+    states = sorted(full.states, key=repr)
+    block = {s: (s in full.accepting) for s in states}
+    while True:
+        sigs = {
+            s: (block[s], tuple(block[full.transitions[(s, sym)]] for sym in full.alphabet))
+            for s in states
+        }
+        ids: dict = {}
+        new_block = {}
+        for s in states:
+            new_block[s] = ids.setdefault(sigs[s], len(ids))
+        if len(set(new_block.values())) == len(set(block.values())):
+            block = new_block
+            break
+        block = new_block
+    trans = {}
+    accepting = set()
+    for s in states:
+        b = block[s]
+        if s in full.accepting:
+            accepting.add(b)
+        for sym in full.alphabet:
+            trans[(b, sym)] = block[full.transitions[(s, sym)]]
+    blocks = set(block.values())
+    # the block of the empty language is the one that rejects and only loops
+    dead = {b for b in blocks if b not in accepting
+            and all(trans[(b, sym)] == b for sym in full.alphabet)}
+    live = {key: t for key, t in trans.items() if t not in dead}
+    return Dfa(full.alphabet, blocks, block[full.initial], accepting, live).renumber()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from queue_monoid import (
     ClassAutomaton,
+    Dfa,
     Nfa,
     apply_redex,
     class_dfa,
@@ -16,6 +17,7 @@ from queue_monoid import (
     mul,
     nfa_from_regex,
     normal_form_dfa,
+    omega_nfa,
     proj,
     rational_member,
     redexes,
@@ -23,7 +25,7 @@ from queue_monoid import (
     shuffle_image,
 )
 
-from helpers import AB, SIGMA, nfa_language, random_nfa, words_upto
+from helpers import AB, SIGMA, moore_minimize, nfa_language, random_nfa, words_upto
 
 LETTERS = tuple("ab")
 
@@ -138,6 +140,37 @@ def test_minimize_keeps_the_language_and_only_useful_states():
 def test_minimize_of_the_empty_language_is_one_state():
     d = Nfa.empty(SIGMA).determinize().minimize()
     assert (d.states, d.initial, d.accepting, d.transitions) == ({0}, 0, set(), {})
+
+
+def _random_partial_dfa(rng):
+    # string states, so that the order of iterating a state set follows the hash seed
+    n = rng.randrange(1, 8)
+    trans = {(f"s{p}", sym): f"s{rng.randrange(n)}"
+             for p in range(n) for sym in SIGMA if rng.random() < 0.7}
+    accepting = {f"s{p}" for p in range(n) if rng.random() < 0.4}
+    return Dfa(SIGMA, {f"s{p}" for p in range(n)}, f"s{rng.randrange(n)}", accepting, trans)
+
+
+def _explored_omega_dfa(k, monkeypatch):
+    """The Omega_k stepper's explored states, before minimization."""
+    explored = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Dfa, "minimize", lambda self: explored.append(self) or self)
+        omega_nfa(k, AB)
+    return explored[0]
+
+
+def test_minimize_matches_the_moore_reference(monkeypatch):
+    rng = random.Random(71)
+    dfas = [Dfa(SIGMA, {0}, 0, set(), {}),  # the empty language
+            Dfa(SIGMA, {0}, 0, {0}, {}),  # the empty word, one state without moves
+            Dfa(SIGMA, {0}, 0, {0}, {(0, sym): 0 for sym in SIGMA})]
+    dfas += [_random_partial_dfa(rng) for _ in range(200 - len(dfas))]
+    dfas += [_explored_omega_dfa(k, monkeypatch) for k in range(6)]
+    for d in dfas:
+        got, want = d.minimize(), moore_minimize(d)
+        assert (got.initial, got.accepting, got.transitions) == (
+            want.initial, want.accepting, want.transitions)
 
 
 def test_dfa_complete_and_complement():

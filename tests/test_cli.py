@@ -106,6 +106,59 @@ def test_omega_compile_matches_golden_hash(capsys, letters, k):
     assert digest == OMEGA_COMPILE_SHA256[(letters, k)]
 
 
+# sha256 of the stdout of `simple EXPR --compile` (text, then --dot), taken
+# from the construction that built and minimized one product per node: the
+# seven compiles of block 0 of the benchmark's simple_sets workload (seed 1),
+# then mixed expressions, a negated omega(5) and repeated atoms
+MIXED_COMPILE_SHA256 = {
+    ("dt", "(!(omega(4)) | (pi((dt)*) & omega(3)))"): (
+        "258ca072d903ceed05b25d6177acaf4a8593871be314bd552913da729e17aec2",
+        "21f272bd4e0a4397bd07881e777b1c3f1598a793cc07a2fde3d218037cdd6d45"),
+    ("dpt", "(omega(1) & (pibar(d*t*p*) | omega(1)))"): (
+        "7c82300cb5fee95d153e093b3ca4bb10aab5e47808226f07890cd6c52276075f",
+        "9f9d8fbda9ce092a944d153eabe1ca00cf1db30beae31798fba6d9d68ba0b5a5"),
+    ("dpt", "(omega(3) & (pibar((d|t|p)*dt(d|t|p)*) | omega(3)))"): (
+        "e2ab0983b3392376e937b58fc51f0e290d998edfdba3e5f5b087f1b9866cb7d9",
+        "05a6eb9cecdb6f8c540468ac1f64559781606af164300c21aacb93847ca0819e"),
+    ("dpt", "(!(omega(2)) | (pi((d|p)*) & pibar(d*t*p*)))"): (
+        "556c84884335512f270707c80cf1996e772fbd72732eea3cc0ba785988798353",
+        "fdff8fdbc7836407ae370992f1c90f2037b52adcf8386a47b887eb0c388f45a2"),
+    ("dt", "(omega(3) & (pibar((dd|t)*) | omega(3)))"): (
+        "7ef311f42baa00a4dba517009058e17e3c825004c2458b0ee2d429aecd12c4ef",
+        "c312ffcea0ee3f018454bf3e33d72a528f707208fef70af688d39eb0304697a3"),
+    ("dt", "(!(omega(2)) | (pi(t(d|t)*) & pibar(d*t*)))"): (
+        "79bf0c431dd49e0943f5f1db2b642be45209bf636ad3fd7605dba9f5ff7a91fe",
+        "8310811ddb7df2be7bbdb2c138af1116c15bbde477d5f0e9cffd5e6ecf416112"),
+    ("dt", "(omega(1) & (pibar(d*t*) | omega(1)))"): (
+        "4133688171cc1740b8f41d8dae0c15fc5bd2d9d3aef5987f392ba7e1fc2d27af",
+        "92879f3dee7b4226e9fa0014a8bea1492f63e6fa307c864d6810146e661002ca"),
+    ("ab", "omega(4) & !pi((ab)*) | pibar(a*b*) & omega(3)"): (
+        "987f852563c3e831157eb0e7cd5fc14f1e142475bb25f4c1731f0b52bbb5b86f",
+        "b1476cc7005dc29226cff3b4b83416203f0bf4cc7ca781c93839021a65b1e55e"),
+    ("ab", "omega(5) & omega(4) & omega(3)"): (
+        "99dc6e8bab8c38aa662a4a2fd817f3dd7faf3ba357b8a07432de25998f07553e",
+        "4f863b16a247446860ecf7546d34cde99416080a4e49486994d43f0bc039f472"),
+    ("ab", "!omega(5)"): (
+        "cdf973f441fb2c9bc1dfaaedc2880653ca8c1f50b455ad39b474ebdbf1bc1a50",
+        "8b36b207872effdf1a333616097b9ce1cdb35cc7063b826647085f8e43b28552"),
+    ("abc", "omega(3) & pi((a|b)*c) | omega(2) & pibar(a*b*c*)"): (
+        "af28ea5fc75b211c4463976b08e28f40f250e2e13d4ef9ae847c04382db2ebe2",
+        "d3f113e5730e3587f30060c8025cf20cd3db1483680b0d2842a0f5eb6837818e"),
+    ("ab", "(omega(2) | pi(a*)) & !(omega(2) & pibar(b*))"): (
+        "11fea0514180e0bf997c39bb897fb5c6c13117b5979c590cf3fd8f3c30cbf4d2",
+        "45fc2cc5936c6efee0eb719ea992135904e742efd28146bf202a05eb7638df11"),
+}
+
+
+@pytest.mark.parametrize("letters,expr", sorted(MIXED_COMPILE_SHA256))
+@pytest.mark.parametrize("dot", [False, True])
+def test_mixed_compile_matches_golden_hash(capsys, letters, expr, dot):
+    argv = ["simple", "--alphabet", letters, expr, "--compile"] + (["--dot"] if dot else [])
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MIXED_COMPILE_SHA256[(letters, expr)][dot]
+
+
 def _seeded_word(n, letters):
     rng = random.Random(n)
     symbols = letters + letters.upper()

@@ -205,6 +205,18 @@ def test_conjugator_nfa_with_unequal_projection_lengths():
             assert aut.nfa.accepts(z.word()) == (mul(x, z) == mul(z, y)), (x, y, z)
 
 
+def test_non_conjugate_pairs_have_no_conjugator():
+    # conjugator_nfa returns the empty automaton for these without building slices
+    xs, zs = normal_forms_upto(3), normal_forms_upto(5)
+    left = {x: [mul(x, z) for z in zs] for x in xs}
+    right = {y: [mul(z, y) for z in zs] for y in xs}
+    for x in xs:
+        for y in xs:
+            if not conjugate(x, y):
+                assert all(a != b for a, b in zip(left[x], right[y])), (x, y)
+                assert conjugator_nfa(x, y, AB).nfa.is_empty(), (x, y)
+
+
 def test_find_conjugator_examples():
     p = rewrite_normalize("Aa")
     assert find_conjugator(p, p, AB) == NormalForm()

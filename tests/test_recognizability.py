@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from queue_monoid import (
     And,
+    Dfa,
     Nfa,
     Not,
     NormalForm,
@@ -256,6 +257,48 @@ def test_compiled_random_expressions_match_direct_evaluation():
         d = compile_simple(expr, AB)
         for w in words:
             assert d.accepts(w) == eval_simple(expr, classes[w]), (expr, w)
+
+
+REGEX_LANGS = {regex: nfa_from_regex(regex, AB)
+               for regex in ("a*", "(ab)*", "a*b*", "(a|b)*b", "b(a|b)*", "(aa|b)*", "")}
+# one Nfa object per regex, so equal projection atoms recur as well as omega(k)
+simple_atoms = st.one_of(
+    st.integers(0, 3).map(Omega),
+    st.builds(lambda cls, regex: cls(REGEX_LANGS[regex]),
+              st.sampled_from([PiIn, PiBarIn]), st.sampled_from(sorted(REGEX_LANGS))),
+)
+
+
+def simple_exprs(depth):
+    if depth == 0:
+        return simple_atoms
+    sub = simple_exprs(depth - 1)
+    return st.one_of(simple_atoms, sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub))
+
+
+SHORT_WORDS = {w: eval_word(w) for w in words_upto(4)}
+
+
+@given(simple_exprs(4), st.booleans(), st.lists(st.text("abAB", max_size=8), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_compiled_product_matches_evaluation_and_is_minimal(expr, negate, words):
+    if negate:
+        expr = Not(expr)
+    d = compile_simple(expr, AB)
+    for w, q in [*SHORT_WORDS.items(), *((w, eval_word(w)) for w in words)]:
+        assert d.accepts(w) == eval_simple(expr, q), (expr, w)
+    assert len(d.minimize().states) == len(d.states)
+
+
+def test_compile_simple_minimizes_each_atom_and_the_product_once(monkeypatch):
+    calls = []
+    minimize = Dfa.minimize
+    monkeypatch.setattr(Dfa, "minimize", lambda self: calls.append(self) or minimize(self))
+    # omega(2) recurs; the two pi(a*) atoms are distinct objects
+    expr = parse_simple_expr("omega(2) & pi(a*) | !omega(2) & pi(a*) | !omega(3)", AB)
+    compile_simple(expr, AB)
+    # one inside each omega stepper, one per projection atom, one for the product
+    assert len(calls) == 2 + 2 + 1
 
 
 def test_parse_simple_expr():
