@@ -7,11 +7,13 @@ accepting one equivalence class of queue-action words (`class_dfa`) and the
 rational-subset membership test (`rational_member`).
 
 Every walk over states (renumbering, reachability, products, subset
-construction, shortest words, the class automaton) goes through one
-breadth-first explorer, `_bfs`, which numbers states in discovery order and
-hands each state's moves to the caller as it arrives; `Dfa.explore` runs it
-over the moves of a deterministic stepper.  The constructors take time linear in the
-states and transitions they are given.
+construction, shortest words, the class automaton, text export) goes through
+one breadth-first explorer, `_bfs`, which numbers states in discovery order
+and hands each state's moves to the caller as it arrives; `Dfa.explore` runs
+it over the moves of a deterministic stepper.  `to_text` prints, and
+`Dfa.minimize` numbers its quotient, in the walk itself: no automaton is
+built only to be printed or renumbered.  The constructors take time linear
+in the states and transitions they are given.
 
 Automata are immutable after construction; every operation returns a fresh
 automaton, so instances can be shared freely between threads.
@@ -326,12 +328,12 @@ class Nfa:
     # -- export ---------------------------------------------------------------
 
     def to_dot(self) -> str:
-        return _to_dot(self.alphabet, self.states, self.initial, self.accepting,
-                       {k: v for k, v in self.transitions.items()})
+        return _to_dot(sorted(self.initial, key=repr), self.states, self.accepting,
+                       ((s, sym, t) for (s, sym), dsts in self.transitions.items() for t in dsts))
 
     def to_text(self) -> str:
-        m = self.relabel()
-        return _to_text(m.alphabet, m.states, m.initial, m.accepting, m.transitions)
+        """Text of the reachable part, numbered as `relabel` would, in one walk."""
+        return _to_text(self.alphabet, sorted(self.initial, key=repr), self._moves, self.accepting)
 
     @classmethod
     def from_text(cls, text: str) -> "Nfa":
@@ -380,10 +382,10 @@ class Dfa:
         return cur in self.accepting
 
     def complete(self) -> "Dfa":
-        """Total version: missing moves routed to an explicit dead state."""
+        """Total version: missing moves go to ("dead", n), n the least not a state."""
         if all((s, sym) in self.transitions for s in self.states for sym in self.alphabet):
             return self
-        dead = ("dead", 0)
+        dead = next(d for n in range(len(self.states) + 1) if (d := ("dead", n)) not in self.states)
         trans = dict(self.transitions)
         for s in self.states | {dead}:
             for sym in self.alphabet:
@@ -396,8 +398,8 @@ class Dfa:
                    full.states - full.accepting, full.transitions)
 
     def minimize(self) -> "Dfa":
-        """Minimal DFA, renumbered, without a dead state: Moore's refinement on
-        integers, each round splitting blocks by one successor column per symbol."""
+        """Minimal DFA without a dead state, numbered by `renumber`'s walk as it is
+        built: Moore's refinement on integers, one successor column per symbol."""
         sink = object()  # the target of every missing move
         states = [*self.states, sink]
         index = {s: i for i, s in enumerate(states)}
@@ -414,92 +416,89 @@ class Dfa:
         accepting = {b for b, s in zip(block, states) if s in self.accepting}
         dead = block[-1]  # the sink's block: every state whose language is empty
         rep = {b: i for i, b in enumerate(block)}  # any state stands for its block
-        live = {(b, sym): block[col[i]] for b, i in rep.items()
-                for sym, col in zip(self.alphabet, columns) if block[col[i]] != dead}
-        return Dfa(self.alphabet, rep, block[index[self.initial]], accepting, live).renumber()
+
+        def moves(b):
+            i = rep[b]
+            return [(sym, t) for sym, col in zip(self.alphabet, columns)
+                    if (t := block[col[i]]) != dead]
+
+        return self._numbered(self.alphabet, block[index[self.initial]], moves, accepting)
 
     def renumber(self) -> "Dfa":
-        get, alphabet = self.transitions.get, self.alphabet
+        """The reachable part, states numbered 0, 1, ... in one `_bfs` walk."""
+        return self._numbered(self.alphabet, self.initial, self._moves, self.accepting)
 
-        def moves(s):
-            return [(sym, t) for sym in alphabet if (t := get((s, sym))) is not None]
+    @classmethod
+    def _numbered(cls, alphabet, initial, moves, accepting) -> "Dfa":
+        """The part reachable from `initial` by `moves`, numbered in `_bfs` order."""
+        ids: dict = {}
+        trans = {(ids[s], sym): ids[t] for s, out in _bfs([initial], moves, ids) for sym, t in out}
+        return cls(alphabet, ids.values(), 0, {ids[s] for s in accepting if s in ids}, trans)
 
-        order: dict = {}
-        trans: dict = {}
-        for s, out in _bfs([self.initial], moves, order):
-            for sym, t in out:
-                trans[(order[s], sym)] = order[t]
-        return Dfa(self.alphabet, order.values(), 0,
-                   {order[s] for s in self.accepting if s in order}, trans)
+    def _moves(self, state) -> list:
+        """(symbol, successor) pairs in alphabet order."""
+        get = self.transitions.get
+        return [(sym, t) for sym in self.alphabet if (t := get((state, sym))) is not None]
 
     def to_nfa(self) -> Nfa:
         trans = {k: {v} for k, v in self.transitions.items()}
         return Nfa(self.alphabet, self.states, {self.initial}, self.accepting, trans)
 
     def to_dot(self) -> str:
-        return _to_dot(self.alphabet, self.states, {self.initial}, self.accepting,
-                       {k: {v} for k, v in self.transitions.items()})
+        return _to_dot([self.initial], self.states, self.accepting,
+                       ((s, sym, t) for (s, sym), t in self.transitions.items()))
 
     def to_text(self) -> str:
-        """Same text as ``to_nfa().to_text()``: `renumber` visits states as `Nfa.relabel` does."""
-        m = self.renumber()
-        return _to_text(m.alphabet, m.states, {m.initial}, m.accepting,
-                        {k: (v,) for k, v in m.transitions.items()})
+        """Same text as ``to_nfa().to_text()``, printed in one walk as `renumber` numbers it."""
+        return _to_text(self.alphabet, [self.initial], self._moves, self.accepting)
 
 
 # ---------------------------------------------------------------------------
 # Export formats
 
 
-def _is_quadruple(state) -> bool:
-    return (
-        isinstance(state, tuple)
-        and len(state) == 4
-        and all(isinstance(x, int) for x in state)
-    )
-
-
 def _dot_labels(states) -> dict:
-    if all(_is_quadruple(s) or isinstance(s, int) for s in states):
-        return {s: ("(%d,%d,%d,%d)" % s if _is_quadruple(s) else str(s)) for s in states}
-    return {s: str(i) for i, s in enumerate(sorted(states, key=repr))}
+    """DOT name of each state: ints and class-automaton quadruples name
+    themselves; if any state is something else, all are numbered in repr order."""
+    labels = {}
+    for s in states:
+        if isinstance(s, int):
+            labels[s] = str(s)
+        elif isinstance(s, tuple) and len(s) == 4 and all(isinstance(x, int) for x in s):
+            labels[s] = "(%d,%d,%d,%d)" % s
+        else:
+            return {s: str(i) for i, s in enumerate(sorted(states, key=repr))}
+    return labels
 
-def _to_dot(alphabet, states, initial, accepting, transitions) -> str:
+
+def _to_dot(starts, states, accepting, triples) -> str:
+    """DOT of every state; `triples` are the (src, symbol, dst) transitions."""
     labels = _dot_labels(states)
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    for idx, s in enumerate(sorted(initial, key=repr)):
-        lines.append(f'  __start{idx} [shape=point, label=""];')
-    for s in sorted(states, key=lambda s: labels[s]):
-        shape = "doublecircle" if s in accepting else "circle"
-        lines.append(f'  "{labels[s]}" [shape={shape}];')
-    for idx, s in enumerate(sorted(initial, key=repr)):
-        lines.append(f'  __start{idx} -> "{labels[s]}";')
+    lines += [f'  __start{i} [shape=point, label=""];' for i in range(len(starts))]
+    lines += [f'  "{label}" [shape={"doublecircle" if s in accepting else "circle"}];'
+              for s, label in sorted(labels.items(), key=lambda kv: kv[1])]
+    lines += [f'  __start{i} -> "{labels[s]}";' for i, s in enumerate(starts)]
     edges: dict = {}
-    for (src, sym), dsts in transitions.items():
-        for d in dsts:
-            edges.setdefault((labels[src], labels[d]), []).append(sym)
-    for (a, b), syms in sorted(edges.items()):
-        label = ",".join(sorted(syms))
-        lines.append(f'  "{a}" -> "{b}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    for src, sym, dst in triples:
+        edges.setdefault((labels[src], labels[dst]), []).append(sym)
+    lines += [f'  "{a}" -> "{b}" [label="{",".join(sorted(syms))}"];'
+              for (a, b), syms in sorted(edges.items())]
+    return "\n".join(lines + ["}"])
 
 
-def _to_text(alphabet, states, initial, accepting, transitions) -> str:
-    """Text of an automaton whose states are already numbered 0, 1, ..."""
-    letters = sorted({sym.lower() for sym in alphabet})
-    lines = [f"alphabet: {''.join(letters)}"]
-    for s in sorted(states):
-        flags = ""
-        if s in initial:
-            flags += " initial"
-        if s in accepting:
-            flags += " accepting"
-        lines.append(f"state {s}{flags}")
-    for (src, sym), dsts in sorted(transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        for d in sorted(dsts):
-            lines.append(f"trans {src} {sym} {d}")
-    return "\n".join(lines) + "\n"
+def _to_text(alphabet, starts, moves, accepting) -> str:
+    """Text of the automaton reachable from `starts`, numbered and printed in
+    one `_bfs` walk; each state's moves print by symbol, then successor."""
+    ids: dict = {}
+    head = ["alphabet: " + "".join(sorted({sym.lower() for sym in alphabet}))]
+    body = []
+    for s, out in _bfs(starts, moves, ids):
+        i = ids[s]
+        flags = (" initial" if i < len(starts) else "") + (" accepting" if s in accepting else "")
+        head.append(f"state {i}{flags}")
+        body += [f"trans {i} {sym} {t}" for sym, t in sorted([(sym, ids[t]) for sym, t in out])]
+    return "\n".join(head + body) + "\n"
 
 
 def _from_text(text: str) -> Nfa:

@@ -4,7 +4,7 @@ Words use the compact syntax of the library: a lowercase letter writes
 that letter, the uppercase letter reads it, "e" (or the empty string) is
 the empty word.  Predicates print a single lowercase word and signal their
 answer through the exit status: 0 for yes/success, 1 for no, 2 for usage
-or parse errors.
+or parse errors, 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -262,12 +262,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a library fault must not read as a "no" (exit 1)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from queue_monoid import (
     redexes,
     rewrite_normalize,
     shuffle_image,
+    shuffled_nfa,
 )
 
 from helpers import AB, SIGMA, moore_minimize, nfa_language, random_nfa, words_upto
@@ -182,6 +184,16 @@ def test_dfa_complete_and_complement():
         assert comp.accepts(w) == (w != "aB")
 
 
+def test_dfa_complete_adds_a_fresh_dead_state():
+    # a DFA that already has a state named ("dead", 0) and accepts only ""
+    taken = ("dead", 0)
+    d = Dfa(SIGMA, {taken}, taken, {taken}, {})
+    full = d.complete()
+    assert full.states == {taken, ("dead", 1)}
+    assert [w for w in words_upto(2) if full.accepts(w)] == [""]
+    assert [w for w in words_upto(2) if not d.complement().accepts(w)] == [""]
+
+
 # ---------------------------------------------------------------------------
 # regex, text format, DOT
 
@@ -230,6 +242,103 @@ def test_dot_output():
     assert '"(0,0,0,0)"' in dot
     nfa_dot = Nfa.word("aB", SIGMA).to_dot()
     assert '[label="a"]' in nfa_dot and '[label="B"]' in nfa_dot
+
+
+# Two initial states, string state names whose repr order differs from
+# their order in the text, and one edge carrying two symbols.
+TWO_STARTS = (
+    "alphabet: ab\n"
+    "state x accepting\n"
+    "state s9 initial\n"
+    "state s10 initial\n"
+    "trans s9 a x\n"
+    "trans s10 B s9\n"
+    "trans x b s10\n"
+    "trans x b s9\n"
+    "trans x A x\n"
+    "trans x a x\n"
+)
+
+
+def test_two_initial_states_print_golden():
+    m = Nfa.from_text(TWO_STARTS)
+    assert m.to_text() == (
+        "alphabet: ab\n"
+        "state 0 initial\n"
+        "state 1 initial\n"
+        "state 2 accepting\n"
+        "trans 0 B 1\n"
+        "trans 1 a 2\n"
+        "trans 2 A 2\n"
+        "trans 2 a 2\n"
+        "trans 2 b 0\n"
+        "trans 2 b 1\n"
+    )
+    assert m.to_dot() == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        '  __start0 [shape=point, label=""];\n'
+        '  __start1 [shape=point, label=""];\n'
+        '  "0" [shape=circle];\n'
+        '  "1" [shape=circle];\n'
+        '  "2" [shape=doublecircle];\n'
+        '  __start0 -> "0";\n'
+        '  __start1 -> "1";\n'
+        '  "0" -> "1" [label="B"];\n'
+        '  "1" -> "2" [label="a"];\n'
+        '  "2" -> "0" [label="b"];\n'
+        '  "2" -> "1" [label="b"];\n'
+        '  "2" -> "2" [label="A,a"];\n'
+        "}"
+    )
+
+
+# sha256 of `to_text()` and `to_dot()` of automata whose states are neither
+# ints nor class-automaton quadruples, so DOT numbers them in repr order.
+PRINTER_GOLDEN = {
+    "normal_form_dfa": (
+        "548f78caceb2055d8d59f5f4326dbab2e3ff58b97fba030979cd57b569673ebc",
+        "e8b98de7fc07066189229b0878d3f14e18805908f61b6b30871c1903bdd286b8"),
+    "normal_form_dfa.complete": (
+        "6f6a6041cb3f10ed90fe05ae9f8769259c79681e6843e1b52e905f8fba36a056",
+        "9900e63b1a0ba02985ce2d4436862271a22a5866996bcffe064089b9f9197d32"),
+    "shuffle_image": (
+        "7bd454056224552fe0cb6825246ee6291f5e8623e0577234b64f37fcee019cd7",
+        "c3b9cd4304ebe2abab2a46cd2339102d6c51d61de9a7f28627a077a8ee85686f"),
+    "shuffled_nfa": (
+        "5f7bc7543393bd7c89f7bee78f0d867543b4ac398eb975f9460f63345a603cb1",
+        "1a6a930bcf4757c4605ca4ef4db0e94dc8f55c5b78774ddc1217ebe0821e457a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTER_GOLDEN))
+def test_library_printers_match_golden_hash(name):
+    m = {
+        "normal_form_dfa": lambda: normal_form_dfa(AB),
+        "normal_form_dfa.complete": lambda: normal_form_dfa(AB).complete(),
+        "shuffle_image": lambda: shuffle_image(nfa_from_regex("ab*", AB), AB),
+        "shuffled_nfa": lambda: shuffled_nfa(2, AB),
+    }[name]()
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (m.to_text(), m.to_dot()))
+    assert digests == PRINTER_GOLDEN[name]
+
+
+def test_printers_agree_across_renumbering_and_conversion():
+    rng = random.Random(32)
+    pool = [0, 1, 7, "s", "t0", (0, "x"), (2, 1), ("dead", 0)]
+    for _ in range(200):
+        states = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+        trans = {(s, sym): rng.choice(states)
+                 for s in states for sym in SIGMA if rng.random() < 0.6}
+        accepting = {s for s in states if rng.random() < 0.4}
+        d = Dfa(SIGMA, states, states[0], accepting, trans)
+        assert d.to_text() == d.to_nfa().to_text() == d.renumber().to_text()
+        assert d.to_dot() == d.to_nfa().to_dot()
+        initial = {s for s in states if rng.random() < 0.4} or {states[-1]}
+        nfa_trans = {(s, sym): {t for t in states if rng.random() < 0.3}
+                     for s in states for sym in SIGMA}
+        m = Nfa(SIGMA, states, initial, accepting, nfa_trans)
+        assert m.to_text() == m.relabel().to_text()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from queue_monoid import NormalForm, equiv_oracle, rewrite_normalize
+from queue_monoid import cli
 from queue_monoid.cli import main
 
 from helpers import AB, words_upto
@@ -502,6 +503,16 @@ GOLDEN = {
 def test_golden_automaton_output(capsys, argv):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == GOLDEN[argv]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # exit 1 means "no"; a failure inside the library must not read as one
+    def boom(word):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "rewrite_normalize", boom)
+    code, out, err = run(capsys, "nf", "ab")
+    assert (code, out, err) == (3, "", "error: internal: RuntimeError: boom")
 
 
 def test_unknown_subcommand_exits_2(capsys):
