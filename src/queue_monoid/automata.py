@@ -15,6 +15,12 @@ it over the moves of a deterministic stepper.  `to_text` prints, and
 built only to be printed or renumbered.  The constructors take time linear
 in the states and transitions they are given.
 
+`rational_member` is the one exception: the class automaton's states are
+counters into the word and every move consumes one symbol, so its states
+form a grid that one forward pass visits in order, carrying the set of NFA
+states reached at each grid point as an int bitmask.  That is the paper's
+nondeterministic logspace walk over the product, made deterministic.
+
 Automata are immutable after construction; every operation returns a fresh
 automaton, so instances can be shared freely between threads.
 """
@@ -512,6 +518,8 @@ def _from_text(text: str) -> Nfa:
         if not line or line.startswith("#"):
             continue
         if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise ValueError(f"repeated alphabet line: {line!r}")
             letters = line.split(":", 1)[1].strip()
             alphabet = Alphabet(letters)
             continue
@@ -681,7 +689,9 @@ class ClassAutomaton:
     The overlap after a read of c is the longest suffix of W[:wc(k)] + c
     that is a prefix of W[:wc(l)], so the overlap length moves like the
     Knuth-Morris-Pratt automaton of W, capped at wc(l): one table lookup
-    per read instead of a string comparison.
+    per read instead of a string comparison (`_read_overlap`).  So a state
+    is fixed by three counters, rc(j), wc(l) and the overlap length wc(k);
+    `rational_member` walks the states in that form.
     """
 
     def __init__(self, word: str, alphabet: Alphabet):
@@ -746,6 +756,13 @@ class ClassAutomaton:
     def step(self, state, sym):
         return dict(self._moves(state)).get(sym)
 
+    def _read_overlap(self, kc: int, cap: int, c: str) -> int:
+        """Overlap length after reading `c` from overlap length `kc`, with
+        `cap` writes consumed: the KMP step of W, capped at W[:cap]."""
+        if kc < cap and self._writes[kc] == c:
+            return kc + 1
+        return self._kmp[self._fail[kc]].get(c, 0) if kc else 0
+
     def _moves(self, state) -> list:
         """(symbol, successor) pairs: the word's next write, then its next read."""
         i, j, k, l = state
@@ -757,12 +774,7 @@ class ClassAutomaton:
         j2 = self.next_read[j]
         if j2 is not None:
             sym = word[j2 - 1]
-            c = sym.lower()
-            kc, writes = self._wc[k], self._writes
-            if kc < self._wc[l] and writes[kc] == c:
-                kc += 1
-            else:
-                kc = self._kmp[self._fail[kc]].get(c, 0) if kc else 0
+            kc = self._read_overlap(self._wc[k], self._wc[l], sym.lower())
             dropped = self._rc[j2] - kc
             i2 = self.read_positions[dropped - 1] if dropped else 0
             k2 = self.write_positions[kc - 1] if kc else 0
@@ -779,21 +791,77 @@ def class_dfa(word: str, alphabet: Alphabet) -> Dfa:
 def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
     """Does the automaton accept some word equivalent to `word`?
 
-    Product search of `nfa` with the class automaton, whose states are
-    expanded on demand rather than materialized in advance.
+    The product of `nfa` with the class automaton, walked deterministically
+    in one forward pass.  A class-automaton state is fixed by three counters:
+    r reads and w writes of `word` consumed, and the overlap length kc.  A
+    write moves (r, w, kc) to (r, w + 1, kc), a read to (r + 1, w, kc') by
+    `ClassAutomaton._read_overlap`; every move consumes one symbol of
+    `word`, so the states form a grid DAG.  The pass walks it row by row
+    (r = 0..|R|) and keeps, per cell (r, w) and overlap kc, the set of
+    `nfa` states that some word reaches there, as an int bitmask; successor
+    sets are computed per symbol, once per distinct mask.  The answer is
+    whether the set at (|R|, |W|, overlap of the normal form) meets the
+    accepting states.  This is the paper's NL walk made deterministic: it
+    costs O(class states) mask operations and keeps one row in memory.
     """
     for sym in nfa.alphabet:
         if sym.lower() not in alphabet:
             raise ValueError(f"automaton symbol {sym!r} not over alphabet {alphabet.letters!r}")
     ca = ClassAutomaton(word, alphabet)
-    class_moves, get = ca._moves, nfa.transitions.get
+    reads, writes = ca._reads, ca._writes
+    index = {q: n for n, q in enumerate(nfa.states)}
+    post = {sym: _Successors([0] * len(index)) for sym in set(word)}
+    for (q, sym), dsts in nfa.transitions.items():
+        if sym in post:
+            post[sym].table[index[q]] = sum(1 << index[t] for t in dsts)
+    accepting = sum(1 << index[q] for q in nfa.accepting)
+    nr, nw = len(reads), len(writes)
+    stuck = _Successors([0] * len(index))  # no move past the last read or write
+    write_posts = [post[c] for c in writes] + [stuck]
+    # a row holds cells w = 0..nw and a spare one that `stuck` never fills
+    row = [{} for _ in range(nw + 2)]
+    row[0][0] = sum(1 << index[q] for q in nfa.initial)
+    for r in range(nr + 1):
+        below = [{} for _ in range(nw + 2)]
+        if r < nr:
+            # the read's overlap step from each kc, below the cap (kc < w) and at it
+            c, down_post = reads[r], post[reads[r].upper()]
+            grow = [ca._read_overlap(kc, kc + 1, c) for kc in range(min(r + 1, nw))]
+            capped = [ca._read_overlap(kc, kc, c) for kc in range(min(r, nw) + 1)]
+        else:
+            down_post = stuck
+        for w, cell in enumerate(row):
+            if not cell:
+                continue
+            right, right_post, down = row[w + 1], write_posts[w], below[w]
+            for kc, mask in cell.items():
+                if nxt := right_post[mask]:
+                    right[kc] = right.get(kc, 0) | nxt
+                if nxt := down_post[mask]:
+                    kc2 = grow[kc] if kc < w else capped[kc]
+                    down[kc2] = down.get(kc2, 0) | nxt
+        if r == nr:
+            return bool(row[nw].get(len(ca.target.overlap), 0) & accepting)
+        if not any(below):
+            return False
+        row = below
 
-    def moves(pair):
-        cstate, q = pair
-        return [(sym, (cnext, qnext)) for sym, cnext in class_moves(cstate)
-                for qnext in get((q, sym), ())]
 
-    for (cstate, q), _ in _bfs([(ca.initial, q) for q in nfa.initial], moves):
-        if q in nfa.accepting and ca.is_accepting(cstate):
-            return True
-    return False
+class _Successors(dict):
+    """Successor mask of each NFA state mask under one symbol, computed on
+    first use from `table`, the successor mask of each single state."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, mask):
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            out |= self.table[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out

@@ -60,6 +60,15 @@ def random_nfa(rng: random.Random, max_states=5, symbols=SIGMA, density=0.25):
     return Nfa(symbols, states, initial, accepting, trans)
 
 
+def member_reference(word, m, alphabet):
+    """Reference for `rational_member`: the materialized class DFA of `word`
+    meets `m`, whose alphabet is widened to all of `alphabet`'s symbols."""
+    from queue_monoid import Nfa, class_dfa
+
+    wide = Nfa(alphabet.symbols, m.states, m.initial, m.accepting, m.transitions)
+    return not class_dfa(word, alphabet).to_nfa().intersect(wide).is_empty()
+
+
 def is_normal_form_word(w):
     return not redexes(w)
 

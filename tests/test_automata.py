@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,16 @@ from queue_monoid import (
     shuffled_nfa,
 )
 
-from helpers import AB, SIGMA, moore_minimize, nfa_language, random_nfa, words_upto
+from helpers import (
+    AB,
+    ABC,
+    SIGMA,
+    member_reference,
+    moore_minimize,
+    nfa_language,
+    random_nfa,
+    words_upto,
+)
 
 LETTERS = tuple("ab")
 
@@ -232,6 +242,14 @@ def test_text_format_errors():
         Nfa.from_text("alphabet: ab\ntrans 0 c 1\n")
     with pytest.raises(ValueError):
         Nfa.from_text("alphabet: ab\nstate 0 starting\n")
+
+
+def test_text_format_rejects_a_second_alphabet_line():
+    with pytest.raises(ValueError, match="repeated alphabet"):
+        Nfa.from_text("alphabet: ab\nstate 0 initial accepting\ntrans 0 a 0\n"
+                      "alphabet: abc\ntrans 0 c 0\n")
+    with pytest.raises(ValueError, match="repeated alphabet"):
+        Nfa.from_text("alphabet: ab\nalphabet: ab\nstate 0 initial\n")
 
 
 def test_dot_output():
@@ -510,3 +528,99 @@ def test_class_automaton_on_periodic_write_projections(w, data):
             if sym in moves:
                 assert ca.denote(moves[sym]) == mul(ca.denote(state), eval_word(sym)), (
                     w, state, sym)
+
+
+# NFAs for the cross-check below: 1-12 states named by ints, strings and
+# tuples, several initial states, an orphan state nothing reaches, a trap
+# state that cannot reach acceptance, symbols without moves, an alphabet
+# that may miss letters of the word, and sometimes a path spelling a
+# rewrite of the word, a random word of its class, or another word with the
+# same projections
+STATE_NAMES = st.one_of(
+    st.integers(0, 99),
+    st.text("xyz", max_size=3),
+    st.tuples(st.integers(0, 3), st.text("pq", max_size=2)),
+)
+
+
+@st.composite
+def member_nfas(draw, word, alphabet):
+    # hypothesis favours small draws; the choices of shape are uniform instead
+    rng = draw(st.randoms(use_true_random=False))
+    letters = alphabet.letters
+    if rng.random() < 0.25:
+        letters = "".join(c for c in letters if rng.random() < 0.5) or letters[0]
+    symbols = tuple(letters) + tuple(letters.upper())
+    names = draw(st.lists(STATE_NAMES, min_size=1, max_size=12, unique=True))
+    orphan, trap = (names[-1], names[-2]) if len(names) >= 3 else (None, None)
+    targets = [q for q in names if q != orphan]
+    mute = draw(st.sets(st.sampled_from(symbols), max_size=len(symbols) - 1))
+    trans = {}
+    for q in names:
+        for sym in symbols:
+            if sym in mute:
+                continue
+            if q == trap:
+                trans[(q, sym)] = {q}
+            else:
+                trans[(q, sym)] = set(draw(st.lists(st.sampled_from(targets), max_size=2)))
+    initial = draw(st.sets(st.sampled_from(targets), min_size=1, max_size=3))
+    accepting = draw(st.sets(st.sampled_from([q for q in names if q != trap])))
+    if all(c.lower() in letters for c in word) and rng.random() < 0.8:
+        writes, reads = proj(word)
+        path = rng.choice([
+            lambda: _class_walk(rng, word, alphabet),
+            lambda: _class_walk(rng, word, alphabet),
+            lambda: _rewrite_walk(draw, word),
+            lambda: _interleave(draw, writes, reads.upper()),
+        ])()
+        chain = [("path", t) for t in range(len(path) + 1)]
+        for t, sym in enumerate(path):
+            trans.setdefault((chain[t], sym), set()).add(chain[t + 1])
+        initial.add(chain[0])
+        accepting.add(chain[-1])
+    return Nfa(symbols, names, initial, accepting, trans)
+
+
+def _class_walk(rng, word, alphabet):
+    """A random word equivalent to `word`: a walk through its trimmed class DFA."""
+    d = class_dfa(word, alphabet).to_nfa().trim()
+    state, out = next(iter(d.initial)), []
+    while moves := [(sym, t) for sym in d.alphabet for t in d.transitions.get((state, sym), ())]:
+        sym, state = rng.choice(moves)
+        out.append(sym)
+    return "".join(out)
+
+
+@st.composite
+def member_words(draw):
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    n = draw(st.randoms(use_true_random=False)).randrange(41)  # uniform, not small-biased
+    text = st.text(alphabet=alphabet.symbols, min_size=n, max_size=n)
+    return draw(st.one_of(periodic_words(), text)), alphabet
+
+
+@given(member_words(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rational_member_against_the_class_dfa_product(case, data):
+    word, alphabet = case
+    m = data.draw(member_nfas(word, alphabet))
+    assert rational_member(word, m, alphabet) == member_reference(word, m, alphabet)
+
+
+def test_rational_member_on_a_large_nfa_is_fast():
+    # a dense 200-state NFA: the walk over (class state, NFA state) pairs
+    # this replaced took about 40 s here
+    rng = random.Random(240)
+    word = "".join(rng.choice(SIGMA) for _ in range(240))
+    trans = {}
+    for q in range(200):
+        for sym in SIGMA:
+            if rng.random() < 0.9:
+                trans[(q, sym)] = set(rng.sample(range(200), rng.randint(1, 2)))
+    accepting = {q for q in range(200) if rng.random() < 0.05}
+    m = Nfa(SIGMA, range(200), {0, 1}, accepting, trans)
+    start = time.perf_counter()
+    answer = rational_member(word, m, AB)
+    assert time.perf_counter() - start < 2.0
+    assert answer

@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
+import io
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from queue_monoid import NormalForm, equiv_oracle, rewrite_normalize
+from queue_monoid import Alphabet, Nfa, NormalForm, equiv_oracle, rewrite_normalize
 from queue_monoid import cli
 from queue_monoid.cli import main
 
-from helpers import AB, words_upto
+from helpers import AB, member_reference, words_upto
 
 
 def run(capsys, *argv):
@@ -263,6 +267,142 @@ def test_member(capsys, tmp_path):
     assert (code, out) == (1, "no")
     code, _, err = run(capsys, "member", "ab", "--nfa", str(tmp_path / "missing.nfa"))
     assert code == 2 and err
+
+
+def test_member_rejects_a_second_alphabet_line(capsys, tmp_path):
+    # the last alphabet line used to win, and `c` was read as a letter
+    path = tmp_path / "m.nfa"
+    path.write_text("alphabet: ab\nstate 0 initial accepting\ntrans 0 a 0\n"
+                    "alphabet: abc\ntrans 0 c 0\n")
+    code, out, err = run(capsys, "member", "--alphabet", "abc", "c", "--nfa", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# `member --nfa` files: drawn from the file grammar, then mutated
+NFA_FILE_NAMES = st.text("pq01", min_size=1, max_size=3)
+ODD_SYMBOLS = ["ab", "Ab", "aa", "c", "z", "-", "\u00e9", "\u00df", "\u0130", "\uff21"]
+ODD_ALPHABETS = ["", "a", "aa", "AB", "ab c", "a\u00e9", "abc", "ba"]
+
+
+@st.composite
+def nfa_file_lines(draw, letters):
+    symbols = letters + letters.upper()
+    names = draw(st.lists(NFA_FILE_NAMES, min_size=1, max_size=6, unique=True))
+    lines = [" ".join(["state", q, *draw(st.lists(st.sampled_from(["initial", "accepting"]),
+                                                   max_size=2))]) for q in names]
+    for _ in range(draw(st.integers(0, 12))):
+        src, dst = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        lines.append(f"trans {src} {draw(st.sampled_from(symbols))} {dst}")
+    if draw(st.booleans()):  # a state accepting every word over some symbols
+        lines += ["state u initial accepting"]
+        lines += [f"trans u {c} u" for c in symbols if draw(st.integers(0, 3))]
+    lines = draw(st.permutations(lines))
+    lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    return [f"alphabet: {letters}"] + lines
+
+
+def _pick(draw, lines, prefix=""):
+    """Index of a random line starting with `prefix`, or None."""
+    found = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    return draw(st.sampled_from(found)) if found else None
+
+
+def _drop_field(draw, lines):
+    i = _pick(draw, lines)
+    if i is not None:
+        fields = lines[i].split()
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[i] = " ".join(fields)
+
+
+def _unknown_flag(draw, lines):
+    i = _pick(draw, lines, "state")
+    if i is not None:
+        lines[i] += " " + draw(st.sampled_from(["final", "start", "INITIAL", "initial,"]))
+
+
+def _odd_symbol(draw, lines):
+    i = _pick(draw, lines, "trans")
+    if i is not None:
+        fields = lines[i].split()
+        fields[2] = draw(st.sampled_from(ODD_SYMBOLS))
+        lines[i] = " ".join(fields)
+
+
+def _no_alphabet(draw, lines):
+    lines[:] = [line for line in lines if not line.startswith("alphabet:")]
+
+
+def _another_alphabet(draw, lines):
+    letters = draw(st.sampled_from(["ab", "abc"] + ODD_ALPHABETS))
+    lines.insert(draw(st.integers(0, len(lines))), f"alphabet: {letters}")
+
+
+def _odd_alphabet(draw, lines):
+    i = _pick(draw, lines, "alphabet:")
+    if i is not None:
+        lines[i] = "alphabet: " + draw(st.sampled_from(ODD_ALPHABETS))
+
+
+def _alphabet_last(draw, lines):
+    i = _pick(draw, lines, "alphabet:")
+    if i is not None:
+        lines.append(lines.pop(i))
+
+
+def _undeclared_states(draw, lines):
+    sym = draw(st.sampled_from("aAbB"))
+    lines.append(f"trans {draw(NFA_FILE_NAMES)}x {sym} {draw(NFA_FILE_NAMES)}y")
+
+
+def _unknown_line(draw, lines):
+    lines.insert(draw(st.integers(0, len(lines))),
+                 draw(st.sampled_from(["tran 0 a 0", "states 0", "initial 0", "0 a 1", ":"])))
+
+
+MUTATIONS = [_drop_field, _unknown_flag, _odd_symbol, _no_alphabet, _another_alphabet,
+             _odd_alphabet, _alphabet_last, _undeclared_states, _unknown_line]
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expected_member(data: bytes, word, alphabet):
+    """The reference answer for `member`, or None where it must exit 2."""
+    try:
+        m = Nfa.from_text(data.decode("utf-8"))
+    except ValueError:
+        return None
+    if not all(sym.lower() in alphabet for sym in m.alphabet):
+        return None
+    return member_reference(word, m, alphabet)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_member_nfa_file_fuzz(tmp_path_factory, data):
+    letters = data.draw(st.sampled_from(["ab", "abc"]), label="cli alphabet")
+    lines = data.draw(nfa_file_lines(data.draw(st.sampled_from(["ab", "ba", "abc"]))))
+    for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3), label="mutations"):
+        mutate(data.draw, lines)
+    raw = "\n".join(lines).encode() + data.draw(st.sampled_from([b"\n", b"", b"\n\xff\n"]))
+    word = data.draw(st.text(letters + letters.upper(), max_size=12), label="word")
+    path = tmp_path_factory.getbasetemp() / "fuzz.nfa"
+    path.write_bytes(raw)
+    code, out, err = _main_captured(["member", "--alphabet", letters, word or "e",
+                                     "--nfa", str(path)])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    expected = _expected_member(raw, word, Alphabet(letters))
+    if expected is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert (code, out, err) == ((0, "yes\n", "") if expected else (1, "no\n", ""))
 
 
 def test_omega(capsys):
