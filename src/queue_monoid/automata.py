@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from .core import Alphabet, NormalForm, eval_word
+from .core import Alphabet, NormalForm, _border_step, eval_word, proj
 
 __all__ = [
     "Nfa",
@@ -689,8 +689,8 @@ class ClassAutomaton:
     The overlap after a read of c is the longest suffix of W[:wc(k)] + c
     that is a prefix of W[:wc(l)], so the overlap length moves like the
     Knuth-Morris-Pratt automaton of W, capped at wc(l): one table lookup
-    per read instead of a string comparison (`_read_overlap`).  So a state
-    is fixed by three counters, rc(j), wc(l) and the overlap length wc(k);
+    per read (`core._border_step`, as in `eval_word`).  So a state is fixed
+    by three counters, rc(j), wc(l) and the overlap length wc(k);
     `rational_member` walks the states in that form.
     """
 
@@ -700,8 +700,7 @@ class ClassAutomaton:
         n = len(word)
         self.read_positions = [p for p in range(1, n + 1) if word[p - 1].isupper()]
         self.write_positions = [p for p in range(1, n + 1) if word[p - 1].islower()]
-        self._reads = "".join(word[p - 1].lower() for p in self.read_positions)
-        self._writes = "".join(word[p - 1] for p in self.write_positions)
+        self._writes, self._reads = proj(word)
         # counts of reads/writes among the first p symbols, and the next of each after p
         self._rc, self._wc = [0], [0]
         for sym in word:
@@ -710,7 +709,7 @@ class ClassAutomaton:
             self._wc.append(self._wc[-1] + (not upper))
         self.next_read = self._next_table(self.read_positions, n)
         self.next_write = self._next_table(self.write_positions, n)
-        self._fail, self._kmp = self._kmp_tables(self._writes)
+        self._step = _border_step(self._writes)
         self.target = eval_word(word)
         self.initial = (0, 0, 0, 0)
 
@@ -723,23 +722,6 @@ class ClassAutomaton:
                 idx += 1
             out.append(positions[idx] if idx < len(positions) else None)
         return out
-
-    @staticmethod
-    def _kmp_tables(w: str):
-        """Failure function of `w`, and its KMP automaton on states 0..|w|-1.
-
-        fail[m] is the longest proper border of w[:m]; kmp[m][c] is the
-        longest suffix of w[:m] + c that is a prefix of w (absent means 0).
-        """
-        fail = [0] * (len(w) + 1)
-        kmp: list = []
-        for m, c in enumerate(w):
-            row = dict(kmp[fail[m]]) if m else {}
-            row[c] = m + 1
-            kmp.append(row)
-            if m:
-                fail[m + 1] = kmp[fail[m]].get(c, 0)
-        return fail, kmp
 
     def denote(self, state) -> NormalForm:
         i, j, k, l = state
@@ -756,13 +738,6 @@ class ClassAutomaton:
     def step(self, state, sym):
         return dict(self._moves(state)).get(sym)
 
-    def _read_overlap(self, kc: int, cap: int, c: str) -> int:
-        """Overlap length after reading `c` from overlap length `kc`, with
-        `cap` writes consumed: the KMP step of W, capped at W[:cap]."""
-        if kc < cap and self._writes[kc] == c:
-            return kc + 1
-        return self._kmp[self._fail[kc]].get(c, 0) if kc else 0
-
     def _moves(self, state) -> list:
         """(symbol, successor) pairs: the word's next write, then its next read."""
         i, j, k, l = state
@@ -774,7 +749,7 @@ class ClassAutomaton:
         j2 = self.next_read[j]
         if j2 is not None:
             sym = word[j2 - 1]
-            kc = self._read_overlap(self._wc[k], self._wc[l], sym.lower())
+            kc = self._step(self._wc[k], self._wc[l], sym.lower())
             dropped = self._rc[j2] - kc
             i2 = self.read_positions[dropped - 1] if dropped else 0
             k2 = self.write_positions[kc - 1] if kc else 0
@@ -795,20 +770,21 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
     in one forward pass.  A class-automaton state is fixed by three counters:
     r reads and w writes of `word` consumed, and the overlap length kc.  A
     write moves (r, w, kc) to (r, w + 1, kc), a read to (r + 1, w, kc') by
-    `ClassAutomaton._read_overlap`; every move consumes one symbol of
-    `word`, so the states form a grid DAG.  The pass walks it row by row
-    (r = 0..|R|) and keeps, per cell (r, w) and overlap kc, the set of
-    `nfa` states that some word reaches there, as an int bitmask; successor
-    sets are computed per symbol, once per distinct mask.  The answer is
-    whether the set at (|R|, |W|, overlap of the normal form) meets the
-    accepting states.  This is the paper's NL walk made deterministic: it
-    costs O(class states) mask operations and keeps one row in memory.
+    the capped KMP step of the write projection W (`core._border_step`);
+    every move consumes one symbol of `word`, so the states form a grid DAG.
+    The pass walks it row by row (r = 0..|R|) and keeps, per cell (r, w) and
+    overlap kc, the set of `nfa` states that some word reaches there, as an
+    int bitmask; successor sets are computed per symbol, once per distinct
+    mask.  The answer is whether the set at (|R|, |W|, overlap of the normal
+    form) meets the accepting states.  This is the paper's NL walk made
+    deterministic: it costs O(class states) mask operations and keeps one
+    row in memory.
     """
     for sym in nfa.alphabet:
         if sym.lower() not in alphabet:
             raise ValueError(f"automaton symbol {sym!r} not over alphabet {alphabet.letters!r}")
-    ca = ClassAutomaton(word, alphabet)
-    reads, writes = ca._reads, ca._writes
+    writes, reads = proj(word)
+    step = _border_step(writes)
     index = {q: n for n, q in enumerate(nfa.states)}
     post = {sym: _Successors([0] * len(index)) for sym in set(word)}
     for (q, sym), dsts in nfa.transitions.items():
@@ -826,8 +802,8 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
         if r < nr:
             # the read's overlap step from each kc, below the cap (kc < w) and at it
             c, down_post = reads[r], post[reads[r].upper()]
-            grow = [ca._read_overlap(kc, kc + 1, c) for kc in range(min(r + 1, nw))]
-            capped = [ca._read_overlap(kc, kc, c) for kc in range(min(r, nw) + 1)]
+            grow = [step(kc, kc + 1, c) for kc in range(min(r + 1, nw))]
+            capped = [step(kc, kc, c) for kc in range(min(r, nw) + 1)]
         else:
             down_post = stuck
         for w, cell in enumerate(row):
@@ -841,7 +817,7 @@ def rational_member(word: str, nfa: Nfa, alphabet: Alphabet) -> bool:
                     kc2 = grow[kc] if kc < w else capped[kc]
                     down[kc2] = down.get(kc2, 0) | nxt
         if r == nr:
-            return bool(row[nw].get(len(ca.target.overlap), 0) & accepting)
+            return bool(row[nw].get(eval_word(word).overlap_width(), 0) & accepting)
         if not any(below):
             return False
         row = below

@@ -70,6 +70,8 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    if args.max_queue is not None and not args.oracle:
+        raise ValueError("--max-queue needs --oracle")
     alphabet = Alphabet(args.alphabet)
     u = parse_word(args.left, alphabet)
     v = parse_word(args.right, alphabet)
@@ -149,6 +151,8 @@ def _cmd_embed2(args) -> int:
 
 
 def _cmd_simple(args) -> int:
+    if args.dot and not args.compile:
+        raise ValueError("--dot needs --compile")
     alphabet = Alphabet(args.alphabet)
     try:
         expr = parse_simple_expr(args.expr, alphabet)

@@ -13,8 +13,12 @@ of write/read pairs of equal letters (the "overlap"), then a block of
 writes.  ``rewrite_normalize`` computes it by a confluent, terminating
 rewriting system; it is the reference engine that the fast paths are
 checked against.  ``mul`` composes two normal forms directly in closed
-form, ``eval_word`` folds it over a word, and ``equiv_oracle`` decides
-equivalence semantically by running both words on finitely many queues.
+form, ``eval_word`` normalizes a word in one pass, and ``equiv_oracle``
+decides equivalence semantically by running both words on finitely many
+queues.  The overlap is the longest suffix of the read side that is a prefix
+of the write side; wherever it is kept up one read at a time (``eval_word``,
+the class automaton, rational membership), it moves by the one capped
+Knuth-Morris-Pratt step that ``_border_step`` builds.
 
 Everything in this module is a pure function over immutable values, so it
 is safe to use from several threads at once.
@@ -48,8 +52,6 @@ __all__ = [
     "shuffle",
     "embed_q2",
     "embed_product",
-    "is_write",
-    "is_read",
     "parse_word",
     "format_word",
     "all_words",
@@ -57,14 +59,6 @@ __all__ = [
 
 BOT_TOKEN = "BOT"
 EMPTY_TOKEN = "e"
-
-
-def is_write(sym: str) -> bool:
-    return sym.islower()
-
-
-def is_read(sym: str) -> bool:
-    return sym.isupper()
 
 
 @dataclass(frozen=True)
@@ -329,9 +323,6 @@ class NormalForm:
         return format_word(self.word())
 
 
-IDENTITY = NormalForm()
-
-
 def rewrite_normalize(word: str) -> NormalForm:
     """Normal form of a word, computed by exhaustive rewriting."""
     return NormalForm.from_word(deque(_reductions(word), maxlen=1).pop())
@@ -397,19 +388,45 @@ def mul(x: NormalForm, y: NormalForm) -> NormalForm:
     return NormalForm(x.reads + r, s, t + y.writes)
 
 
-_GEN_CACHE: dict[str, NormalForm] = {}
+def _border_step(w: str):
+    """The capped KMP step of `w`: step(kc, cap, c), for kc <= cap <= |w|, is
+    the length of the longest suffix of w[:kc] + c that is a prefix of w[:cap].
+
+    fail[m] is the longest proper border of w[:m]; kmp[m][c] is the longest
+    suffix of w[:m] + c that is a prefix of w (absent means 0).
+    """
+    fail = [0] * (len(w) + 1)
+    kmp: list = []
+    for m, c in enumerate(w):
+        row = dict(kmp[fail[m]]) if m else {}
+        row[c] = m + 1
+        kmp.append(row)
+        if m:
+            fail[m + 1] = kmp[fail[m]].get(c, 0)
+
+    def step(kc: int, cap: int, c: str) -> int:
+        if kc < cap and w[kc] == c:
+            return kc + 1
+        return kmp[fail[kc]].get(c, 0) if kc else 0
+
+    return step
 
 
 def eval_word(word: str) -> NormalForm:
-    """Normal form of a word, computed by folding `mul` over its symbols."""
-    acc = IDENTITY
+    """Normal form of a word in one pass.  Multiplying by each symbol, as
+    `mul` would, only moves the overlap length kc: a write leaves it, a read
+    of c takes the capped KMP step of the write projection W over the writes
+    seen.  The result is (R[:|R|-kc], W[:kc], W[kc:]), R the read projection.
+    """
+    writes, reads = proj(word)
+    step = _border_step(writes)
+    kc = seen = 0
     for sym in word:
-        gen = _GEN_CACHE.get(sym)
-        if gen is None:
-            gen = NormalForm(writes=sym) if sym.islower() else NormalForm(reads=sym.lower())
-            _GEN_CACHE[sym] = gen
-        acc = mul(acc, gen)
-    return acc
+        if sym.islower():
+            seen += 1
+        else:
+            kc = step(kc, seen, sym.lower())
+    return NormalForm(reads[: len(reads) - kc], writes[:kc], writes[kc:])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import Alphabet, NormalForm
+from .core import Alphabet, NormalForm, overlap
 from .automata import Dfa, Nfa, inverse_projection, nfa_from_regex
 
 __all__ = [
@@ -68,15 +68,13 @@ def in_omega(q: NormalForm, k: int) -> bool:
     The actions sharing q's projections correspond exactly to the lengths l
     such that the length-l suffix of the read projection is a prefix of the
     write projection; q is in Omega_k when no such alternative length lies
-    strictly between ow(q) and k+1.
+    strictly between ow(q) and k+1, that is, when the longest suffix of the
+    last k reads that is a prefix of the first k writes is no longer than
+    ow(q).
     """
     _check_k(k)
     writes, reads = q.write_projection, q.read_projection
-    limit = min(len(writes), len(reads), k)
-    for length in range(q.overlap_width() + 1, limit + 1):
-        if reads[len(reads) - length:] == writes[:length]:
-            return False
-    return True
+    return len(overlap(reads[max(0, len(reads) - k):], writes[:k])) <= q.overlap_width()
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +142,7 @@ def _omega_dfa(k: int, alphabet: Alphabet) -> Dfa:
 
     def accepting(state):
         writes, s, reads = state
-        return all(writes[:m] != reads[len(reads) - m:]
-                   for m in range(s + 1, min(len(writes), len(reads)) + 1))
+        return len(overlap(reads, writes)) <= s
 
     return Dfa.explore(symbols, ("", 0, ""), moves, accepting).minimize()
 

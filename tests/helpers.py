@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from queue_monoid import Alphabet, NormalForm, redexes
+from queue_monoid import Alphabet, NormalForm, mul, redexes
 
 AB = Alphabet("ab")
 SIGMA = AB.symbols
@@ -108,3 +108,23 @@ def moore_minimize(dfa):
             and all(trans[(b, sym)] == b for sym in full.alphabet)}
     live = {key: t for key, t in trans.items() if t not in dead}
     return Dfa(full.alphabet, blocks, block[full.initial], accepting, live).renumber()
+
+
+def fold_eval_word(word):
+    """Test-only reference for `eval_word`: `mul` folded over the word's
+    generators, the construction it replaced."""
+    acc = NormalForm()
+    for sym in word:
+        acc = mul(acc, NormalForm(writes=sym) if sym.islower() else NormalForm(reads=sym.lower()))
+    return acc
+
+
+def loop_in_omega(q, k):
+    """Test-only reference for `in_omega`: every alternative overlap length
+    in (ow(q), k] tried one by one, the loop it replaced."""
+    writes, reads = q.write_projection, q.read_projection
+    limit = min(len(writes), len(reads), k)
+    for length in range(q.overlap_width() + 1, limit + 1):
+        if reads[len(reads) - length:] == writes[:length]:
+            return False
+    return True

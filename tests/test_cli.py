@@ -659,3 +659,13 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_dot_without_compile_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "simple", "omega(1)", "aA", "--dot")
+    assert (code, out, err) == (2, "", "error: --dot needs --compile")
+
+
+def test_max_queue_without_oracle_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eq", "aA", "aA", "--max-queue", "3")
+    assert (code, out, err) == (2, "", "error: --max-queue needs --oracle")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ from queue_monoid import (
     rewrite_trace,
     shuffle,
 )
-from queue_monoid.core import RULE_COMMUTE, RULE_PAIR_SLIDE, RULE_READ_FRONT
+from queue_monoid.core import RULE_COMMUTE, RULE_PAIR_SLIDE, RULE_READ_FRONT, _border_step
 
-from helpers import AB, ABC, letter_words_upto, normal_forms_upto, words_upto
+from helpers import AB, ABC, fold_eval_word, letter_words_upto, normal_forms_upto, words_upto
 
 sigma_words = st.text(alphabet="abAB", max_size=7)
 
@@ -408,3 +409,76 @@ def test_alphabet_membership_is_single_letters():
     assert "A" not in abc
     assert "ab" not in abc
     assert "" not in Alphabet("ab")
+
+
+# ---------------------------------------------------------------------------
+# the capped KMP step that eval_word, the class automaton and rational
+# membership share
+
+
+def test_border_step_matches_overlap_exhaustive():
+    words = letter_words_upto(7)
+    for u in words:
+        step = _border_step(u)
+        # one step from any overlap length, under any cap
+        for cap in range(len(u) + 1):
+            for kc in range(cap + 1):
+                for c in "ab":
+                    assert step(kc, cap, c) == len(overlap(u[:kc] + c, u[:cap])), (u, kc, cap, c)
+        # folded over a whole read side, it keeps the border
+        for v in words:
+            kc = 0
+            for c in v:
+                kc = step(kc, len(u), c)
+            assert kc == len(overlap(v, u)), (v, u)
+
+
+@st.composite
+def long_words(draw):
+    shape = draw(st.sampled_from(["random", "periodic", "late_border", "pairs"]))
+    n = draw(st.integers(0, 2000))
+    rng = draw(st.randoms(use_true_random=False))
+    half = max(n // 2, 1)
+    if shape == "late_border":  # b a^(n-1) A^n: the overlap is found only at the end
+        return "b" + "a" * (half - 1) + "A" * half
+    if shape == "pairs":  # (ab)^m (AB)^m A: the last read falls back along the borders
+        return "ab" * (n // 4) + "AB" * (n // 4) + "A"
+    if shape == "periodic":
+        # periodic writes, reads that follow them from some phase, a few flipped
+        period = draw(st.sampled_from(["a", "ab", "aab"]))
+        writes = (period * n)[: rng.randrange(half + 1)]
+        phase = rng.randrange(len(period) + 1)
+        reads = list((period * (n + 1))[phase: phase + rng.randrange(half + 1)])
+        for _ in range(rng.randrange(3)):
+            if reads:
+                idx = rng.randrange(len(reads))
+                reads[idx] = "b" if reads[idx] == "a" else "a"
+        order = [0] * len(writes) + [1] * len(reads)
+        rng.shuffle(order)
+        parts = [iter(writes), iter("".join(reads).upper())]
+        return "".join(next(parts[side]) for side in order)
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    return "".join(rng.choice(letters + letters.upper()) for _ in range(n))
+
+
+@given(long_words(), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_eval_word_matches_the_fold_and_rewriting(w, cut):
+    assert eval_word(w) == fold_eval_word(w)
+    # rewriting is cubic, so it checks a short prefix and suffix only
+    for part in (w[:cut], w[-cut:] if cut else ""):
+        assert eval_word(part) == rewrite_normalize(part), part
+
+
+def test_eval_word_is_linear():
+    # the quadratic mul fold it replaced takes 0.35-0.7 s on each of these
+    rng = random.Random(128000)
+    n = 128000
+    for w in (
+        "".join(rng.choice("abAB") for _ in range(n)),
+        "b" + "a" * (n // 2 - 1) + "A" * (n // 2),
+        "ab" * (n // 4) + "AB" * (n // 4) + "A",
+    ):
+        started = time.perf_counter()
+        eval_word(w)
+        assert time.perf_counter() - started < 0.5, w[:20]

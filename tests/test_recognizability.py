@@ -30,7 +30,7 @@ from queue_monoid import (
     shuffled_nfa,
 )
 
-from helpers import AB, ABC, letter_words_upto, normal_forms_upto, words_upto
+from helpers import AB, ABC, letter_words_upto, loop_in_omega, normal_forms_upto, words_upto
 
 
 # words of up to 40 symbols; the read-then-write pairs make borders that
@@ -318,3 +318,11 @@ def test_parse_simple_expr():
         parse_simple_expr("tau(a)", AB)
     with pytest.raises(ValueError):
         parse_simple_expr("pi(a", AB)
+
+
+def test_in_omega_matches_the_loop_reference():
+    # k = 0 and k beyond both projections included
+    for letters, size in (("ab", 8), ("abc", 6)):
+        for q in normal_forms_upto(size, letters):
+            for k in range(9):
+                assert in_omega(q, k) == loop_in_omega(q, k), (q, k)
